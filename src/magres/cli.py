@@ -1,14 +1,20 @@
 """Command-line surface for building networks, spectra, and audits.
 
-Every subcommand emits a single report: a JSON envelope with the tool
-version, the echoed configuration, a SHA-256 hash of its canonical form,
-a PASS/FAIL verdict, and the command-specific payload.  Reports contain no
-timestamps or machine identifiers, so identical configurations produce
-byte-identical output.  Exit codes: 0 on PASS, 1 when a checked property
-fails, 2 on input or configuration errors.  Table-producing commands can
-emit CSV (``structure,level,model,boundary,flux,index,eigenvalue``)
-instead of JSON.  The environment variable ``MAGRES_THREADS`` caps
-internal parallelism (flux sweeps); output is identical for any setting.
+The CLI parses input, calls the library and emits one report per
+subcommand.  It holds no numerics of its own except the checks that exist
+only here: gauge covariance (``gauge-check``), iterated against direct
+traces (``trace-check``), periodicity and symmetry of flux-sweep rows, and
+the residual checks of ``hodge`` and ``solve``.
+
+A report is a JSON envelope with the tool version, the echoed
+configuration, a SHA-256 hash of its canonical form, a PASS/FAIL verdict,
+and the command-specific payload.  Reports contain no timestamps or machine
+identifiers, so identical configurations produce byte-identical output.
+Exit codes: 0 on PASS, 1 when a checked property fails, 2 on input or
+configuration errors.  Table-producing commands can emit CSV
+(``structure,level,model,boundary,flux,index,eigenvalue``) instead of JSON.
+The environment variable ``MAGRES_THREADS`` caps internal parallelism
+(flux sweeps); output is identical for any setting.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,23 +44,24 @@ from .network import (
     network_to_dict,
     trace_to,
 )
-from .oneforms import cycle_basis, cycle_fluxes, field_from_spec, hodge_decompose, inner
+from .oneforms import cycle_basis, cycle_fluxes, field_from_spec, hodge_decompose
 from .selfsimilar import (
     StructureError,
     bundled_structure,
     cell_partition,
     load_structure,
-    parse_measure_spec,
     refine,
     verify_compatibility,
     vertex_measure,
 )
 from .spectral import (
     SpectralError,
+    _resolve_boundary,
     compare_spectra,
     convergence_table,
     flux_sweep,
     hermitian_eigs,
+    renormalization_base,
     spectrum,
 )
 from .measure_audit import MIN_KLMN_M, full_audit
@@ -96,60 +104,75 @@ def _py(obj):
     return obj
 
 
-def _pairs(values) -> list:
-    """Complex vector as a list of [re, im] pairs."""
-    arr = np.asarray(values, dtype=np.complex128)
-    return [[float(v.real), float(v.imag)] for v in arr]
-
-
-def _matrix_json(matrix) -> dict:
-    """Dense matrix as row-major [re, im] pairs."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "values": [[float(v.real), float(v.imag)] for v in m.reshape(-1)],
-    }
-
-
-def _envelope(command: str, config: dict, verdict: str, report: dict) -> dict:
-    config = _py(config)
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return {
-        "tool": "magres",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-        "verdict": verdict,
-        "report": _py(report),
-    }
-
-
 def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
+def _export_matrix(path: str, matrix) -> None:
+    """Write a dense matrix as JSON: row-major [re, im] pairs."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    doc = {"rows": m.shape[0], "cols": m.shape[1], "values": m.reshape(-1)}
+    Path(path).write_text(_dump_json(_py(doc)), encoding="utf-8")
+
+
+def _csv_table(args, report: dict) -> str:
+    """Eigenvalue report as rows of (structure, level, model, boundary, flux, index, eigenvalue)."""
+    lines = ["structure,level,model,boundary,flux,index,eigenvalue"]
+    name = report["metadata"]["structure"]
+    table = report["eigenvalues"]
+    # converge reports one row per level, flux-sweep one per flux, spectrum a single row
+    if "levels" in report:
+        keys = [(level, "") for level in report["levels"]]
+    elif "fluxes" in report:
+        keys = [(args.level, repr(float(flux))) for flux in report["fluxes"]]
+    else:
+        keys, table = [(args.level, "")], [table]
+    for (level, flux), row in zip(keys, table):
+        for index, eig in enumerate(row):
+            lines.append(
+                f"{name},{int(level)},{args.model},{args.boundary},{flux},{index},{repr(float(eig))}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _emit(args, verdict: str, report: dict) -> int:
+    """Write the report to ``--output`` or stdout; map the verdict to an exit code.
+
+    The echoed configuration holds the arguments named by the subcommand's
+    ``config_keys``, in that order.  ``--format csv`` writes the eigenvalue
+    table instead of the JSON envelope.
+    """
+    if getattr(args, "format", "json") == "csv":
+        text = _csv_table(args, report)
+    else:
+        config = _py({key: getattr(args, key) for key in args.config_keys})
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        text = _dump_json({
+            "tool": "magres",
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+            "verdict": verdict,
+            "report": _py(report),
+        })
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _csv_table(rows) -> str:
-    """Rows of (structure, level, model, boundary, flux, index, eigenvalue)."""
-    lines = ["structure,level,model,boundary,flux,index,eigenvalue"]
-    for structure, level, model, boundary, flux, index, eig in rows:
-        flux_txt = "" if flux is None else repr(float(flux))
-        lines.append(
-            f"{structure},{int(level)},{model},{boundary},{flux_txt},{int(index)},{repr(float(eig))}"
-        )
-    return "\n".join(lines) + "\n"
+    return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # argument resolution
+
+
+def positive_int(text: str) -> int:
+    """Argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _resolve_structure(text: str):
@@ -169,17 +192,10 @@ def _resolve_structure(text: str):
     )
 
 
-def _resolve_weights(spec, map_count):
-    try:
-        return parse_measure_spec(spec, map_count)
-    except StructureError as exc:
-        raise InputError(f"measure spec {spec!r}: {exc}") from exc
-
-
 def _resolve_field(net, spec: str) -> np.ndarray:
     try:
         return field_from_spec(net, spec)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -284,29 +300,11 @@ def _parse_rhs(text: str, n: int) -> np.ndarray:
     )
 
 
-def _geometric_mean_r(s) -> float:
-    return float(np.exp(np.mean([np.log(float(m.r)) for m in s.maps])))
-
-
 def _prepare(args):
-    """Common resolution: structure, refinement, measure, boundary indices."""
+    """Common resolution: structure, refinement, vertex measure."""
     s = _resolve_structure(args.structure)
-    level = int(args.level)
-    if level < 0:
-        raise InputError("level must be nonnegative")
-    weights = _resolve_weights(getattr(args, "measure", None) or "structure", s.map_count)
-    try:
-        ref = refine(s, level)
-    except StructureError as exc:
-        raise InputError(str(exc)) from exc
-    mu = vertex_measure(ref, weights)
-    return s, ref, mu
-
-
-def _boundary_arg(args, ref):
-    if getattr(args, "boundary", "neumann") == "dirichlet":
-        return ("dirichlet", ref.boundary)
-    return "neumann"
+    ref = refine(s, args.level)
+    return s, ref, vertex_measure(ref, args.measure)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +313,6 @@ def _boundary_arg(args, ref):
 
 def cmd_build(args) -> int:
     s, ref, mu = _prepare(args)
-    config = {
-        "structure": args.structure,
-        "level": int(args.level),
-        "measure": args.measure,
-        "out_dir": args.out_dir,
-        "prefix": args.prefix,
-        "tol": float(args.tol),
-        "skip_check": bool(args.skip_check),
-    }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = args.prefix or f"{s.name or 'structure'}-L{int(args.level)}"
@@ -357,12 +346,7 @@ def cmd_build(args) -> int:
     verdict = "PASS"
     if not args.skip_check:
         rep = verify_compatibility(s, int(args.level), tol=float(args.tol))
-        compat = {
-            "level": rep.level,
-            "max_deviation": rep.max_deviation,
-            "tol": rep.tol,
-            "passed": rep.passed,
-        }
+        compat = asdict(rep)
         if not rep.passed:
             verdict = "FAIL"
     report = {
@@ -372,82 +356,37 @@ def cmd_build(args) -> int:
         "boundary": [ref.names[i] for i in ref.boundary],
         "compatibility": compat,
     }
-    _write_output(_dump_json(_envelope("build", config, verdict, report)), args.output)
-    return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
+    return _emit(args, verdict, report)
 
 
 def cmd_spectrum(args) -> int:
-    s, ref, mu = _prepare(args)
-    config = {
-        "structure": args.structure,
-        "level": int(args.level),
-        "model": args.model,
-        "field": args.field,
-        "measure": args.measure,
-        "boundary": args.boundary,
-        "k": args.k,
-        "renormalize": bool(args.renormalize),
-        "format": args.format,
-    }
-    field = _resolve_field(ref.net, args.field)
-    model = MagneticModel(kind=args.model, field=field)
-    factor = _geometric_mean_r(s) ** int(args.level) if args.renormalize else 1.0
-    asm = assemble(ref.net, model, mu, _boundary_arg(args, ref))
-    eigs = hermitian_eigs(asm.symmetrized, compute_vectors=False) * factor
+    s = _resolve_structure(args.structure)
+    factor = renormalization_base(s) ** args.level if args.renormalize else 1.0
+    rep = spectrum(
+        s,
+        args.level,
+        model=args.model,
+        field=args.field,
+        measure=args.measure,
+        boundary=args.boundary,
+        renormalization=factor,
+    )
     if args.export_matrix:
-        Path(args.export_matrix).write_text(
-            _dump_json(_matrix_json(asm.matrix)), encoding="utf-8"
-        )
-    k = len(eigs) if args.k is None else min(int(args.k), len(eigs))
-    metadata = {
-        "structure": s.name or "unnamed",
-        "level": int(args.level),
-        "model": args.model,
-        "boundary": args.boundary,
-        "measure": args.measure,
-        "field": args.field,
-        "vertices": int(ref.net.vertex_count),
-        "kept": int(asm.kept.size),
-        "renormalization": factor,
-    }
-    if args.format == "csv":
-        rows = [
-            (metadata["structure"], args.level, args.model, args.boundary, None, i, eigs[i])
-            for i in range(k)
-        ]
-        _write_output(_csv_table(rows), args.output)
-        return EXIT_PASS
-    report = {"metadata": metadata, "eigenvalues": [float(x) for x in eigs[:k]]}
-    _write_output(_dump_json(_envelope("spectrum", config, "PASS", report)), args.output)
-    return EXIT_PASS
+        _export_matrix(args.export_matrix, rep.matrix)
+    return _emit(args, "PASS", {"metadata": rep.metadata, "eigenvalues": rep.eigenvalues[: args.k]})
 
 
 def cmd_flux_sweep(args) -> int:
     s = _resolve_structure(args.structure)
-    if int(args.level) < 0:
-        raise InputError("level must be nonnegative")
-    config = {
-        "structure": args.structure,
-        "level": int(args.level),
-        "model": args.model,
-        "cycle": int(args.cycle),
-        "grid": args.grid,
-        "measure": args.measure,
-        "boundary": args.boundary,
-        "k": args.k,
-        "tol": float(args.tol),
-        "format": args.format,
-    }
     grid = _parse_grid(args.grid)
-    weights = _resolve_weights(args.measure or "structure", s.map_count)
     try:
         sweep = flux_sweep(
             s,
-            int(args.level),
-            int(args.cycle),
+            args.level,
+            args.cycle,
             grid,
             model=args.model,
-            measure=weights,
+            measure=args.measure,
             boundary=args.boundary,
             k=args.k,
         )
@@ -472,20 +411,10 @@ def cmd_flux_sweep(args) -> int:
             max_pair_dev = max(max_pair_dev, dev)
             periodic_pairs += int(is_periodic)
             symmetric_pairs += int(is_symmetric)
-    verdict = "PASS" if max_pair_dev <= tol else "FAIL"
-
-    if args.format == "csv":
-        rows = []
-        name = sweep.metadata["structure"]
-        for i, flux in enumerate(sweep.fluxes):
-            for idx, eig in enumerate(sweep.table[i]):
-                rows.append((name, args.level, args.model, args.boundary, flux, idx, eig))
-        _write_output(_csv_table(rows), args.output)
-        return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
     report = {
         "metadata": sweep.metadata,
-        "fluxes": [float(x) for x in sweep.fluxes],
-        "eigenvalues": [[float(x) for x in row] for row in sweep.table],
+        "fluxes": sweep.fluxes,
+        "eigenvalues": sweep.table,
         "checks": {
             "periodic_pairs": periodic_pairs,
             "symmetric_pairs": symmetric_pairs,
@@ -493,54 +422,32 @@ def cmd_flux_sweep(args) -> int:
             "tol": tol,
         },
     }
-    _write_output(_dump_json(_envelope("flux-sweep", config, verdict, report)), args.output)
-    return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
+    return _emit(args, "PASS" if max_pair_dev <= tol else "FAIL", report)
 
 
 def cmd_converge(args) -> int:
     s = _resolve_structure(args.structure)
     levels = _parse_levels(args.levels)
-    weights = _resolve_weights(args.measure or "structure", s.map_count)
-    config = {
-        "structure": args.structure,
-        "levels": args.levels,
-        "k": int(args.k),
-        "model": args.model,
-        "field": args.field,
-        "measure": args.measure,
-        "boundary": args.boundary,
-        "renormalize": bool(args.renormalize),
-        "format": args.format,
-    }
     try:
         rep = convergence_table(
             s,
             levels,
-            k=int(args.k),
+            k=args.k,
             model=args.model,
             field=args.field,
-            measure=weights,
+            measure=args.measure,
             boundary=args.boundary,
-            renormalize=bool(args.renormalize),
+            renormalize=args.renormalize,
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if args.format == "csv":
-        rows = []
-        name = rep.metadata["structure"]
-        for i, lvl in enumerate(rep.levels):
-            for idx, eig in enumerate(rep.table[i]):
-                rows.append((name, lvl, args.model, args.boundary, None, idx, eig))
-        _write_output(_csv_table(rows), args.output)
-        return EXIT_PASS
     report = {
         "metadata": rep.metadata,
-        "levels": list(rep.levels),
-        "eigenvalues": [[float(x) for x in row] for row in rep.table],
-        "relative_diffs": [[float(x) for x in row] for row in rep.diffs],
+        "levels": rep.levels,
+        "eigenvalues": rep.table,
+        "relative_diffs": rep.diffs,
     }
-    _write_output(_dump_json(_envelope("converge", config, "PASS", report)), args.output)
-    return EXIT_PASS
+    return _emit(args, "PASS", report)
 
 
 def cmd_audit(args) -> int:
@@ -548,22 +455,10 @@ def cmd_audit(args) -> int:
         raise InputError(
             f"--M must exceed 20/3 ~= {MIN_KLMN_M:.4f} for a margin below 1, got {args.M}"
         )
+    if args.field is None:
+        args.field = f"random:{args.seed}"
     s, ref, mu = _prepare(args)
-    field_spec = args.field if args.field is not None else f"random:{int(args.seed)}"
-    config = {
-        "structure": args.structure,
-        "level": int(args.level),
-        "measure": args.measure,
-        "field": field_spec,
-        "M": float(args.M),
-        "trials": int(args.trials),
-        "seed": int(args.seed),
-        "balls": int(args.balls),
-        "poincare_trials": int(args.poincare_trials),
-        "radii": args.radii,
-        "tol": float(args.tol),
-    }
-    a = _resolve_field(ref.net, field_spec)
+    a = _resolve_field(ref.net, args.field)
     rep = full_audit(
         ref.net,
         mu,
@@ -576,10 +471,9 @@ def cmd_audit(args) -> int:
         poincare_trials=int(args.poincare_trials),
         tol=float(args.tol),
     )
-    verdict = "PASS" if rep.passed else "FAIL"
     report = {
-        "m_profile": [[r, m] for r, m in rep.m_profile],
-        "doubling_profile": [[r, q] for r, q in rep.doubling_profile],
+        "m_profile": rep.m_profile,
+        "doubling_profile": rep.doubling_profile,
         "metric_doubling": rep.metric_doubling,
         "worst_poincare_ratio": rep.worst_poincare_ratio,
         "sup_bound_constant": rep.sup_bound_constant,
@@ -596,26 +490,15 @@ def cmd_audit(args) -> int:
         "details": rep.details,
         "passed": rep.passed,
     }
-    _write_output(_dump_json(_envelope("audit", config, verdict, report)), args.output)
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    return _emit(args, "PASS" if rep.passed else "FAIL", report)
 
 
 def cmd_gauge_check(args) -> int:
+    if args.field is None:
+        args.field = f"random:{args.seed}"
     s, ref, mu = _prepare(args)
-    field_spec = args.field if args.field is not None else f"random:{int(args.seed)}"
-    config = {
-        "structure": args.structure,
-        "level": int(args.level),
-        "model": args.model,
-        "field": field_spec,
-        "measure": args.measure,
-        "boundary": args.boundary,
-        "count": int(args.count),
-        "seed": int(args.seed),
-        "tol": float(args.tol),
-    }
-    base_field = _resolve_field(ref.net, field_spec)
-    bnd = _boundary_arg(args, ref)
+    base_field = _resolve_field(ref.net, args.field)
+    bnd = _resolve_boundary(ref, args.boundary)
     rng = np.random.default_rng(int(args.seed))
     lams = [rng.standard_normal(ref.net.vertex_count) for _ in range(int(args.count))]
 
@@ -644,7 +527,6 @@ def cmd_gauge_check(args) -> int:
             "scale": scale,
             "tol": float(args.tol),
         }
-        verdict = "PASS" if passed else "FAIL"
     else:
         # linearized covariance is only asymptotic: deviations between the
         # field t*(a + d lam) and t*a must shrink quadratically in t
@@ -676,9 +558,7 @@ def cmd_gauge_check(args) -> int:
             "scale": scale,
             "tol": float(args.tol),
         }
-        verdict = "PASS" if passed else "FAIL"
-    _write_output(_dump_json(_envelope("gauge-check", config, verdict, report)), args.output)
-    return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
+    return _emit(args, "PASS" if passed else "FAIL", report)
 
 
 def cmd_trace_check(args) -> int:
@@ -686,38 +566,22 @@ def cmd_trace_check(args) -> int:
     level = int(args.level)
     if level < 1:
         raise InputError("trace-check needs --level >= 1")
-    config = {
-        "structure": args.structure,
-        "level": level,
-        "tol": float(args.tol),
-        "compat_tol": float(args.compat_tol),
-    }
-    try:
-        refs = [refine(s, k) for k in range(level + 1)]
-    except StructureError as exc:
-        raise InputError(str(exc)) from exc
+    refs = [refine(s, k) for k in range(level + 1)]
 
     compat = []
     all_ok = True
     for k in range(level):
         rep = verify_compatibility(s, k, tol=float(args.compat_tol))
-        compat.append(
-            {"level": k, "max_deviation": rep.max_deviation, "tol": rep.tol, "passed": rep.passed}
-        )
+        compat.append(asdict(rep))
         all_ok = all_ok and rep.passed
 
     # one-shot trace to the base vertices vs. tracing down level by level
     fine = refs[-1]
-    v0_names = list(refs[0].names)
-    direct_idx = [fine.name_to_index[nm] for nm in v0_names]
-    direct = trace_to(fine.net, direct_idx)
+    direct = trace_to(fine.net, [fine.name_to_index[nm] for nm in refs[0].names])
     current = fine.net
-    current_names = list(fine.names)
     for k in range(level - 1, -1, -1):
-        lookup = {nm: i for i, nm in enumerate(current_names)}
-        keep_names = list(refs[k].names)
-        current = trace_to(current, [lookup[nm] for nm in keep_names])
-        current_names = keep_names
+        lookup = {nm: i for i, nm in enumerate(current.labels)}
+        current = trace_to(current, [lookup[nm] for nm in refs[k].names])
     iterated_dev = conductance_deviation(direct, current)
     iterated_ok = iterated_dev <= float(args.tol)
     all_ok = all_ok and iterated_ok
@@ -730,20 +594,12 @@ def cmd_trace_check(args) -> int:
             "passed": iterated_ok,
         },
     }
-    verdict = "PASS" if all_ok else "FAIL"
-    _write_output(_dump_json(_envelope("trace-check", config, verdict, report)), args.output)
-    return EXIT_PASS if all_ok else EXIT_FAIL
+    return _emit(args, "PASS" if all_ok else "FAIL", report)
 
 
 def cmd_hodge(args) -> int:
     s, ref, mu = _prepare(args)
     del mu  # decomposition is measure-free
-    config = {
-        "structure": args.structure,
-        "level": int(args.level),
-        "field": args.field,
-        "tol": float(args.tol),
-    }
     w = _resolve_field(ref.net, args.field)
     dec = hodge_decompose(ref.net, w)
     basis = cycle_basis(ref.net)
@@ -766,28 +622,17 @@ def cmd_hodge(args) -> int:
         "orthogonality_residual": dec.orthogonality_residual,
         "pythagoras_residual": dec.pythagoras_residual,
         "flux_preservation_deviation": flux_dev,
-        "potential": _pairs(dec.potential),
-        "exact": _pairs(dec.exact),
-        "coulomb": _pairs(dec.coulomb),
+        # complex dtype, so every value is written as an [re, im] pair
+        "potential": dec.potential.astype(np.complex128),
+        "exact": dec.exact.astype(np.complex128),
+        "coulomb": dec.coulomb.astype(np.complex128),
         "tol": tol,
     }
-    verdict = "PASS" if passed else "FAIL"
-    _write_output(_dump_json(_envelope("hodge", config, verdict, report)), args.output)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return _emit(args, "PASS" if passed else "FAIL", report)
 
 
 def cmd_zero_mode(args) -> int:
     s, ref, mu = _prepare(args)
-    config = {
-        "structure": args.structure,
-        "level": int(args.level),
-        "model": args.model,
-        "field": args.field,
-        "measure": args.measure,
-        "tol": float(args.tol),
-        "spread_tol": float(args.spread_tol),
-        "flux_tol": float(args.flux_tol),
-    }
     field = _resolve_field(ref.net, args.field)
     model = MagneticModel(kind="peierls", field=field)
     rep = zero_mode_test(
@@ -798,35 +643,11 @@ def cmd_zero_mode(args) -> int:
         spread_tol=float(args.spread_tol),
         flux_tol=float(args.flux_tol),
     )
-    report = {
-        "ground_energy": rep.ground_energy,
-        "modulus_spread": rep.modulus_spread,
-        "fluxes": [float(x) for x in rep.fluxes],
-        "max_flux_defect": rep.max_flux_defect,
-        "fluxes_integral": rep.fluxes_integral,
-        "zero_mode": rep.zero_mode,
-        "consistent": rep.consistent,
-        "tol": rep.tol,
-        "spread_tol": rep.spread_tol,
-        "flux_tol": rep.flux_tol,
-    }
-    verdict = "PASS" if rep.consistent else "FAIL"
-    _write_output(_dump_json(_envelope("zero-mode", config, verdict, report)), args.output)
-    return EXIT_PASS if rep.consistent else EXIT_FAIL
+    return _emit(args, "PASS" if rep.consistent else "FAIL", asdict(rep))
 
 
 def cmd_solve(args) -> int:
     s, ref, mu = _prepare(args)
-    config = {
-        "structure": args.structure,
-        "level": int(args.level),
-        "model": args.model,
-        "field": args.field,
-        "measure": args.measure,
-        "dirichlet": args.dirichlet,
-        "rhs": args.rhs,
-        "tol": float(args.tol),
-    }
     field = _resolve_field(ref.net, args.field)
     model = MagneticModel(kind=args.model, field=field)
     pinned = _parse_vertex_set(args.dirichlet, ref)
@@ -840,20 +661,16 @@ def cmd_solve(args) -> int:
     scale = max(1.0, float(np.max(np.abs(asm.matrix))) * max(1.0, float(np.max(np.abs(u)))))
     passed = residual <= float(args.tol) * scale
     if args.export_matrix:
-        Path(args.export_matrix).write_text(
-            _dump_json(_matrix_json(asm.matrix)), encoding="utf-8"
-        )
+        _export_matrix(args.export_matrix, asm.matrix)
     report = {
         "dirichlet": pinned,
         "labels": [ref.names[i] for i in pinned],
-        "u": _pairs(u),
+        "u": u,
         "residual": residual,
         "scale": scale,
         "tol": float(args.tol),
     }
-    verdict = "PASS" if passed else "FAIL"
-    _write_output(_dump_json(_envelope("solve", config, verdict, report)), args.output)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return _emit(args, "PASS" if passed else "FAIL", report)
 
 
 # ---------------------------------------------------------------------------
@@ -881,18 +698,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", default=None, help="file name prefix (default: <structure>-L<level>)")
     p.add_argument("--tol", type=float, default=1e-10, help="refinement compatibility tolerance")
     p.add_argument("--skip-check", action="store_true", help="skip the level-(n+1) compatibility check")
-    p.set_defaults(func=cmd_build)
+    p.set_defaults(
+        func=cmd_build,
+        config_keys=("structure", "level", "measure", "out_dir", "prefix", "tol", "skip_check"),
+    )
 
     p = sub.add_parser("spectrum", help="eigenvalues of the magnetic operator at one level")
     _add_common(p)
     p.add_argument("--model", required=True, choices=["linearized", "peierls"], help="magnetic model")
     p.add_argument("--field", default="zero", help="edge field spec: zero | constant:<t> | random:<seed> | cycle:<i>:<t>")
     p.add_argument("--boundary", choices=["neumann", "dirichlet"], default="neumann")
-    p.add_argument("--k", type=int, default=None, help="report only the first k eigenvalues")
+    p.add_argument("--k", type=positive_int, default=None, help="report only the first k eigenvalues")
     p.add_argument("--renormalize", action="store_true", help="scale eigenvalues by (geometric mean of r)^level")
     p.add_argument("--export-matrix", default=None, help="also write the assembled matrix as JSON ([re, im] pairs, row-major)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(
+        func=cmd_spectrum,
+        config_keys=("structure", "level", "model", "field", "measure", "boundary", "k", "renormalize", "format"),
+    )
 
     p = sub.add_parser("flux-sweep", help="spectra over a grid of fluxes through one cycle")
     _add_common(p)
@@ -900,15 +723,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", type=int, default=0, help="fundamental cycle index")
     p.add_argument("--grid", required=True, help="flux grid start:stop:count (stop inclusive)")
     p.add_argument("--boundary", choices=["neumann", "dirichlet"], default="neumann")
-    p.add_argument("--k", type=int, default=None, help="keep only the first k eigenvalues per flux")
+    p.add_argument("--k", type=positive_int, default=None, help="keep only the first k eigenvalues per flux")
     p.add_argument("--tol", type=float, default=1e-8, help="tolerance for periodicity/symmetry row agreement")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_flux_sweep)
+    p.set_defaults(
+        func=cmd_flux_sweep,
+        config_keys=("structure", "level", "model", "cycle", "grid", "measure", "boundary", "k", "tol", "format"),
+    )
 
     p = sub.add_parser("converge", help="low eigenvalues across refinement levels")
     p.add_argument("--structure", required=True, help="structure JSON path or bundled name")
     p.add_argument("--levels", required=True, help="comma-separated ascending levels, e.g. 1,2,3,4")
-    p.add_argument("--k", type=int, default=5, help="eigenvalues per level")
+    p.add_argument("--k", type=positive_int, default=5, help="eigenvalues per level")
     p.add_argument("--model", required=True, choices=["linearized", "peierls"])
     p.add_argument("--field", default="zero", help="edge field spec (re-realized per level)")
     p.add_argument("--measure", default="structure")
@@ -916,7 +742,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--renormalize", action="store_true", help="scale level-n eigenvalues by (geometric mean of r)^n")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_converge)
+    p.set_defaults(
+        func=cmd_converge,
+        config_keys=("structure", "levels", "k", "model", "field", "measure", "boundary", "renormalize", "format"),
+    )
 
     p = sub.add_parser("audit", help="measure, Poincaré, sup-norm, and form-bound audits")
     _add_common(p)
@@ -928,17 +757,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poincare-trials", type=int, default=5, help="random functions for the Poincaré check")
     p.add_argument("--radii", default=None, help="comma-separated radii (default: dyadic fractions of the diameter)")
     p.add_argument("--tol", type=float, default=1e-9, help="relative slack for inequality checks")
-    p.set_defaults(func=cmd_audit)
+    p.set_defaults(
+        func=cmd_audit,
+        config_keys=("structure", "level", "measure", "field", "M", "trials", "seed", "balls", "poincare_trials", "radii", "tol"),
+    )
 
     p = sub.add_parser("gauge-check", help="spectral invariance under gauge transformations")
     _add_common(p)
     p.add_argument("--model", required=True, choices=["linearized", "peierls"])
     p.add_argument("--field", default=None, help="base field spec (default: random:<seed>)")
     p.add_argument("--boundary", choices=["neumann", "dirichlet"], default="neumann")
-    p.add_argument("--count", type=int, default=5, help="number of random gauge potentials")
+    p.add_argument("--count", type=positive_int, default=5, help="number of random gauge potentials")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_gauge_check)
+    p.set_defaults(
+        func=cmd_gauge_check,
+        config_keys=("structure", "level", "model", "field", "measure", "boundary", "count", "seed", "tol"),
+    )
 
     p = sub.add_parser("trace-check", help="Schur-trace consistency across refinement levels")
     p.add_argument("--structure", required=True, help="structure JSON path or bundled name")
@@ -946,13 +781,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9, help="iterated-vs-direct trace tolerance")
     p.add_argument("--compat-tol", type=float, default=1e-10, help="per-level compatibility tolerance")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_trace_check)
+    p.set_defaults(
+        func=cmd_trace_check,
+        config_keys=("structure", "level", "tol", "compat_tol"),
+    )
 
     p = sub.add_parser("hodge", help="decompose an edge field into exact and coulomb parts")
     _add_common(p)
     p.add_argument("--field", default="random:0", help="edge field spec")
     p.add_argument("--tol", type=float, default=1e-10, help="relative tolerance for the residual checks")
-    p.set_defaults(func=cmd_hodge)
+    p.set_defaults(
+        func=cmd_hodge,
+        config_keys=("structure", "level", "field", "tol"),
+    )
 
     p = sub.add_parser("zero-mode", help="ground-state and flux-quantization test (peierls)")
     _add_common(p)
@@ -961,7 +802,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9, help="zero-mode energy tolerance")
     p.add_argument("--spread-tol", type=float, default=1e-6, help="ground-state modulus spread tolerance")
     p.add_argument("--flux-tol", type=float, default=1e-8, help="flux integrality tolerance")
-    p.set_defaults(func=cmd_zero_mode)
+    p.set_defaults(
+        func=cmd_zero_mode,
+        config_keys=("structure", "level", "model", "field", "measure", "tol", "spread_tol", "flux_tol"),
+    )
 
     p = sub.add_parser("solve", help="magnetic Dirichlet solve with a pinned vertex set")
     _add_common(p)
@@ -971,7 +815,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhs", required=True, help="right-hand side: delta:<i>, constant:<v>, or a JSON file")
     p.add_argument("--tol", type=float, default=1e-9, help="relative residual tolerance")
     p.add_argument("--export-matrix", default=None, help="also write the assembled matrix as JSON")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(
+        func=cmd_solve,
+        config_keys=("structure", "level", "model", "field", "measure", "dirichlet", "rhs", "tol"),
+    )
 
     return parser
 

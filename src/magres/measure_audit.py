@@ -24,10 +24,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .magnetic import MagneticModel, magnetic_energy
+from .magnetic import MagneticModel, _mass_vector, magnetic_energy
 from .network import ResistanceNetwork, energy, resistance_matrix
 from .oneforms import inner, module_action
-from .selfsimilar import VertexMeasure
 
 __all__ = [
     "lower_mass_profile",
@@ -52,17 +51,6 @@ __all__ = [
 MIN_KLMN_M = 20.0 / 3.0
 
 DEFAULT_SLACK = 1e-9
-
-
-def _mass(mu, n: int) -> np.ndarray:
-    """Positive per-vertex mass vector from a VertexMeasure or array."""
-    arr = mu.mass if isinstance(mu, VertexMeasure) else np.asarray(mu, dtype=np.float64)
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.shape != (n,):
-        raise ValueError(f"measure has shape {arr.shape}, expected ({n},)")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("vertex measure must be finite and strictly positive")
-    return arr
 
 
 def _mu_norm_sq(mass: np.ndarray, f: np.ndarray) -> float:
@@ -92,7 +80,7 @@ def lower_mass_profile(net: ResistanceNetwork, Rmat, mu, radii):
     Balls are closed resistance balls; the result is a list of ``(r, m(r))``
     pairs in input order, nondecreasing in ``r``.
     """
-    mass = _mass(mu, net.vertex_count)
+    mass = _mass_vector(net, mu)
     Rmat = np.asarray(Rmat, dtype=np.float64)
     out = []
     for r in _check_radii(radii):
@@ -107,7 +95,7 @@ def doubling_estimate(net: ResistanceNetwork, Rmat, mu, radii):
     Every ratio is at least 1; the maximum over the sampled radii estimates
     the doubling constant of the measure.
     """
-    mass = _mass(mu, net.vertex_count)
+    mass = _mass_vector(net, mu)
     Rmat = np.asarray(Rmat, dtype=np.float64)
     out = []
     for r in _check_radii(radii):
@@ -166,7 +154,7 @@ def poincare_check(
     tol: float = DEFAULT_SLACK,
 ) -> PoincareReport:
     """Check ``|f(x) - f_B| <= sqrt(E(f) * r)`` on the given (center, radius) balls."""
-    mass = _mass(mu, net.vertex_count)
+    mass = _mass_vector(net, mu)
     Rmat = np.asarray(Rmat, dtype=np.float64)
     f = np.asarray(f)
     net._check_vertex_values(f)
@@ -207,7 +195,7 @@ def poincare_check(
 
 def sup_ratio(net: ResistanceNetwork, mu, f) -> float:
     """Ratio ``max |f| / sqrt(E(f) + |f|^2_mu)`` for one nonzero function."""
-    mass = _mass(mu, net.vertex_count)
+    mass = _mass_vector(net, mu)
     f = np.asarray(f)
     net._check_vertex_values(f)
     denom = energy(net, f) + _mu_norm_sq(mass, f)
@@ -280,7 +268,7 @@ def fa_bound_audit(
     M = float(M)
     if M <= 0.0:
         raise ValueError("M must be positive")
-    mass = _mass(mu, net.vertex_count)
+    mass = _mass_vector(net, mu)
     a = np.asarray(a)
     a_norm_sq = inner(net, a)
     if a_norm_sq == 0.0:
@@ -352,7 +340,7 @@ def klmn_audit(
     epsilon = 0.25 + 5.0 / M
     fa_rep = fa_bound_audit(net, mu, a, M, trials=trials, seed=seed)
     constant = 5.0 * fa_rep.constant * fa_rep.a_norm_sq
-    mass = _mass(mu, net.vertex_count)
+    mass = _mass_vector(net, mu)
     field = np.asarray(a, dtype=np.float64)
     model = MagneticModel(kind="linearized", field=field)
     worst = -np.inf
@@ -431,7 +419,7 @@ def full_audit(
     Ball centers, ball radii, and Poincaré trial functions are drawn from
     one seeded generator, so reports are reproducible bit-for-bit.
     """
-    mass = _mass(mu, net.vertex_count)
+    mass = _mass_vector(net, mu)
     Rmat = resistance_matrix(net)
     diameter = float(Rmat.max())
     if diameter <= 0.0:

@@ -255,14 +255,18 @@ def harmonic_extension(
         factor = scipy.linalg.cho_factor(L_ii, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NetworkError("interior block is singular; boundary set disconnects") from exc
+    u[interior] = _cho_solve(factor, rhs)
+    return u
+
+
+def _cho_solve(factor, rhs) -> np.ndarray:
+    """Solve with a real Cholesky factor; complex data splits into two real solves."""
     if np.iscomplexobj(rhs):
-        u[interior] = (
+        return (
             scipy.linalg.cho_solve(factor, rhs.real, check_finite=False)
             + 1j * scipy.linalg.cho_solve(factor, rhs.imag, check_finite=False)
         )
-    else:
-        u[interior] = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    return u
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
 def effective_resistance(net: ResistanceNetwork, x: int, y: int) -> float:
@@ -388,12 +392,22 @@ def conductance_deviation(a: ResistanceNetwork, b: ResistanceNetwork) -> float:
     """Largest relative conductance disagreement between two networks.
 
     Networks must share a vertex count; edges absent on one side count as
-    conductance zero.  Used to compare traced forms against reference forms.
+    conductance zero.  When both networks carry labels, edges are matched
+    by their endpoint labels, so the vertex orders may differ; otherwise
+    by vertex index.  Used to compare traced forms against reference forms.
     """
     if a.vertex_count != b.vertex_count:
         raise NetworkError("cannot compare networks of different sizes")
-    ca = {(int(i), int(j)): float(c) for i, j, c in zip(a.tails, a.heads, a.conductances)}
-    cb = {(int(i), int(j)): float(c) for i, j, c in zip(b.tails, b.heads, b.conductances)}
+    by_label = a.labels is not None and b.labels is not None
+
+    def conductances(net: ResistanceNetwork) -> dict:
+        names = net.labels if by_label else range(net.vertex_count)
+        return {
+            tuple(sorted((names[int(i)], names[int(j)]))): float(c)
+            for i, j, c in zip(net.tails, net.heads, net.conductances)
+        }
+
+    ca, cb = conductances(a), conductances(b)
     worst = 0.0
     for key in set(ca) | set(cb):
         va, vb = ca.get(key, 0.0), cb.get(key, 0.0)

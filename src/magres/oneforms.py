@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.linalg
 
-from .network import NetworkError, ResistanceNetwork, laplacian
+from .network import NetworkError, ResistanceNetwork, _cho_solve, laplacian
 
 __all__ = [
     "FormSupport",
@@ -138,14 +138,7 @@ def hodge_decompose(net: ResistanceNetwork, w) -> HodgeDecomposition:
     if net.edge_count and n > 1:
         d = divergence(net, w)
         L = laplacian(net)[1:, 1:]
-        factor = scipy.linalg.cho_factor(L, check_finite=False)
-        if np.iscomplexobj(w):
-            lam[1:] = (
-                scipy.linalg.cho_solve(factor, d[1:].real, check_finite=False)
-                + 1j * scipy.linalg.cho_solve(factor, d[1:].imag, check_finite=False)
-            )
-        else:
-            lam[1:] = scipy.linalg.cho_solve(factor, d[1:], check_finite=False)
+        lam[1:] = _cho_solve(scipy.linalg.cho_factor(L, check_finite=False), d[1:])
     exact = derivation(net, lam)
     coulomb = w - exact
     e_sq = inner(net, exact)
@@ -297,6 +290,8 @@ def field_from_spec(net: ResistanceNetwork, spec: str) -> np.ndarray:
             return cycle_field(net, int(parts[1]), float(parts[2]))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed field spec {spec!r}: {exc}") from exc
+    except IndexError as exc:
+        raise ValueError(f"field spec {spec!r}: {exc}") from exc
     raise ValueError(
         f"unknown field spec {spec!r}; expected zero | constant:<t> | random:<seed> | cycle:<i>:<t>"
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -356,25 +356,8 @@ def verify_compatibility(s: PCFStructure, n: int, tol: float = 1e-10) -> Compati
     """
     coarse = refine(s, n)
     fine = refine(s, n + 1)
-    positions = embed_indices(fine, coarse)
-    traced = trace_to(fine.net, positions)
-    pos_sorted = np.sort(positions)
-    traced_names = [fine.names[p] for p in pos_sorted]
-
-    def pair_map(labels: Sequence[str], net: ResistanceNetwork) -> dict:
-        return {
-            tuple(sorted((labels[int(i)], labels[int(j)]))): float(c)
-            for i, j, c in zip(net.tails, net.heads, net.conductances)
-        }
-
-    traced_conds = pair_map(traced_names, traced)
-    coarse_conds = pair_map(list(coarse.names), coarse.net)
-    worst = 0.0
-    for key in set(traced_conds) | set(coarse_conds):
-        va, vb = traced_conds.get(key, 0.0), coarse_conds.get(key, 0.0)
-        denom = max(abs(va), abs(vb))
-        if denom > 0.0:
-            worst = max(worst, abs(va - vb) / denom)
+    traced = trace_to(fine.net, embed_indices(fine, coarse))
+    worst = conductance_deviation(traced, coarse.net)
     return CompatibilityReport(level=n, max_deviation=worst, tol=tol, passed=worst <= tol)
 
 

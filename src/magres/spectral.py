@@ -33,6 +33,7 @@ __all__ = [
     "flux_sweep",
     "convergence_table",
     "compare_spectra",
+    "renormalization_base",
     "thread_count",
 ]
 
@@ -100,12 +101,15 @@ class SpectrumReport:
 
     Validated at construction: eigenvalues ascend and the lowest one sits
     above ``-1e-10 * max(1, lambda_max)``, the roundoff floor appropriate
-    for positive semidefinite operators of that scale.
+    for positive semidefinite operators of that scale.  ``matrix`` is the
+    assembled energy matrix on the kept vertices, when the report was
+    computed from one.
     """
 
     eigenvalues: np.ndarray
     metadata: dict = dataclass_field(default_factory=dict)
     eigenvectors: np.ndarray | None = None
+    matrix: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -128,6 +132,19 @@ def _resolve_model(net, model, field) -> MagneticModel:
         field = "zero"
     arr = field_from_spec(net, field) if isinstance(field, str) else np.asarray(field, dtype=np.float64)
     return MagneticModel(kind=str(model), field=arr)
+
+
+def _require_dense(ref: Refinement) -> None:
+    """Refuse a refinement too large for dense assembly and eigensolution."""
+    if ref.net.vertex_count > MAX_DENSE_DIM:
+        raise SpectralError(
+            f"level {ref.level} has {ref.net.vertex_count} vertices; dense limit is {MAX_DENSE_DIM}"
+        )
+
+
+def renormalization_base(s: PCFStructure) -> float:
+    """Geometric mean ``g`` of the resistance factors; level ``n`` scales by ``g^n``."""
+    return float(np.exp(np.mean([np.log(float(m.r)) for m in s.maps])))
 
 
 def _resolve_boundary(ref: Refinement, boundary):
@@ -156,12 +173,9 @@ def spectrum(
     Eigenvalues are multiplied by ``renormalization`` before reporting.
     """
     ref = refine(s, int(level))
-    if ref.net.vertex_count > MAX_DENSE_DIM:
-        raise SpectralError(
-            f"level {level} has {ref.net.vertex_count} vertices; dense limit is {MAX_DENSE_DIM}"
-        )
     mu = vertex_measure(ref, measure)
     mod = _resolve_model(ref.net, model, field)
+    _require_dense(ref)  # after the measure and field, so bad input is reported first
     asm = assemble(ref.net, mod, mu, _resolve_boundary(ref, boundary))
     metadata = {
         "structure": s.name or "unnamed",
@@ -177,9 +191,9 @@ def spectrum(
     if want_vectors:
         w, V = hermitian_eigs(asm.symmetrized)
         vectors = V / np.sqrt(asm.mass)[:, None]
-        return SpectrumReport(w * renormalization, metadata, vectors)
+        return SpectrumReport(w * renormalization, metadata, vectors, asm.matrix)
     w = hermitian_eigs(asm.symmetrized, compute_vectors=False)
-    return SpectrumReport(w * renormalization, metadata)
+    return SpectrumReport(w * renormalization, metadata, matrix=asm.matrix)
 
 
 @dataclass(frozen=True)
@@ -216,11 +230,8 @@ def flux_sweep(
     if fluxes.ndim != 1 or fluxes.size == 0:
         raise ValueError("flux grid must be a non-empty 1-d array")
     ref = refine(s, int(level))
-    if ref.net.vertex_count > MAX_DENSE_DIM:
-        raise SpectralError(
-            f"level {level} has {ref.net.vertex_count} vertices; dense limit is {MAX_DENSE_DIM}"
-        )
     mu = vertex_measure(ref, measure)
+    _require_dense(ref)
     basis = cycle_basis(ref.net)
     unit = cycle_field(ref.net, int(cycle_index), 1.0, basis=basis)
     bnd = _resolve_boundary(ref, boundary)
@@ -286,19 +297,17 @@ def convergence_table(
     levels = tuple(int(x) for x in levels)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be a strictly increasing non-empty sequence")
-    g = float(np.exp(np.mean([np.log(float(m.r)) for m in s.maps])))
+    g = renormalization_base(s)
     rows = []
     for lvl in levels:
         factor = g**lvl if renormalize else 1.0
-        rep = spectrum(
+        w = spectrum(
             s, lvl, model=model, field=field, measure=measure,
             boundary=boundary, renormalization=factor,
-        )
-        if rep.eigenvalues.size < k:
-            raise ValueError(
-                f"level {lvl} has only {rep.eigenvalues.size} eigenvalues, need {k}"
-            )
-        rows.append(rep.eigenvalues[:k])
+        ).eigenvalues
+        if w.size < k:
+            raise ValueError(f"level {lvl} has only {w.size} eigenvalues, need {k}")
+        rows.append(w[:k])
     table = np.vstack(rows)
     denom = np.maximum(np.abs(table[1:]), 1e-300)
     diffs = np.abs(table[1:] - table[:-1]) / denom

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magres import bundled_structure, structure_to_dict
+import magres.cli
+import magres.spectral
+from magres import bundled_structure, spectrum, structure_to_dict
 from magres.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 
 TWO_PI = 2.0 * np.pi
@@ -68,6 +70,26 @@ def test_negative_level_exits_2(capsys):
     code = main(["spectrum", "--structure", "gasket", "--level", "-1", "--model", "peierls"])
     assert code == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--structure", "circle", "--level", "3", "--model", "peierls", "--k", "-2"],
+        ["flux-sweep", "--structure", "circle", "--level", "3", "--model", "peierls",
+         "--grid", "0:1:2", "--k", "-2"],
+        ["flux-sweep", "--structure", "circle", "--level", "3", "--model", "peierls",
+         "--grid", "0:1:2", "--k", "0"],
+        ["converge", "--structure", "gasket", "--levels", "1,2", "--model", "peierls", "--k", "-2"],
+        ["gauge-check", "--structure", "gasket", "--level", "1", "--model", "peierls", "--count", "0"],
+        ["gauge-check", "--structure", "gasket", "--level", "1", "--model", "peierls", "--count", "-1"],
+    ],
+)
+def test_nonpositive_k_or_count_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "positive integer" in capsys.readouterr().err
 
 
 def test_structure_from_file_path(tmp_path, capsys):
@@ -186,6 +208,29 @@ def test_spectrum_dirichlet_drops_boundary(capsys):
     assert doc["report"]["eigenvalues"][0] > 0.1
 
 
+def test_spectrum_over_dense_limit_refused_before_assembly(monkeypatch, capsys):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled a matrix beyond the dense limit")
+
+    for module in (magres.spectral, magres.cli):
+        monkeypatch.setattr(module, "assemble", no_assembly)
+    code = main(["spectrum", "--structure", "gasket", "--level", "8", "--model", "peierls", "--k", "2"])
+    assert code == EXIT_FAIL
+    assert "dense limit" in capsys.readouterr().err
+
+
+def test_spectrum_matches_library_with_rational_measure(capsys):
+    # the CLI forwards the measure text, so rational weights stay exact as in the library
+    code, doc = run_json(
+        capsys,
+        ["spectrum", "--structure", "gasket", "--level", "4", "--model", "peierls",
+         "--measure", "uniform", "--field", "random:2"],
+    )
+    assert code == EXIT_PASS
+    rep = spectrum(bundled_structure("gasket"), 4, field="random:2", measure="uniform")
+    assert doc["report"]["eigenvalues"] == rep.eigenvalues.tolist()
+
+
 # ---------------------------------------------------------------------------
 # flux sweep
 
@@ -272,6 +317,31 @@ def test_converge_unsorted_levels_exit_2(capsys):
     )
     assert code == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_converge_bad_cycle_exits_2(capsys):
+    code = main(
+        ["converge", "--structure", "gasket", "--levels", "1,2", "--model", "peierls",
+         "--field", "cycle:99:1"]
+    )
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "cycle index 99" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flux-sweep", "--structure", "circle", "--level", "3", "--model", "peierls",
+         "--grid", "0:1:2"],
+        ["converge", "--structure", "gasket", "--levels", "1,2", "--k", "3", "--model", "peierls"],
+    ],
+)
+def test_measure_metadata_echoes_spec(argv, capsys):
+    code, doc = run_json(capsys, argv + ["--measure", "uniform"])
+    assert code == EXIT_PASS
+    assert doc["report"]["metadata"]["measure"] == "uniform"
 
 
 # ---------------------------------------------------------------------------

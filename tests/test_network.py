@@ -317,6 +317,12 @@ def test_conductance_deviation_measures_relative_gap():
     assert conductance_deviation(a, b) == pytest.approx(0.1 / 1.1, rel=1e-9)
 
 
+def test_conductance_deviation_matches_labelled_vertices():
+    a = ResistanceNetwork.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)], labels=["x", "y", "z"])
+    b = ResistanceNetwork.from_edges(3, [(2, 1, 1.0), (1, 0, 2.0)], labels=["z", "y", "x"])
+    assert conductance_deviation(a, b) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # property-based checks
 
