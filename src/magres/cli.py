@@ -13,8 +13,6 @@ identifiers, so identical configurations produce byte-identical output.
 Exit codes: 0 on PASS, 1 when a checked property fails, 2 on input or
 configuration errors.  Table-producing commands can emit CSV
 (``structure,level,model,boundary,flux,index,eigenvalue``) instead of JSON.
-The environment variable ``MAGRES_THREADS`` caps internal parallelism
-(flux sweeps); output is identical for any setting.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import __version__
 from .magnetic import (
@@ -49,6 +46,7 @@ from .selfsimilar import (
     StructureError,
     bundled_structure,
     cell_partition,
+    embed_indices,
     load_structure,
     refine,
     verify_compatibility,
@@ -190,13 +188,6 @@ def _resolve_structure(text: str):
         f"structure {text!r} is neither an existing file nor one of the "
         f"bundled names {', '.join(BUNDLED_NAMES)}"
     )
-
-
-def _resolve_field(net, spec: str) -> np.ndarray:
-    try:
-        return field_from_spec(net, spec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -428,19 +419,16 @@ def cmd_flux_sweep(args) -> int:
 def cmd_converge(args) -> int:
     s = _resolve_structure(args.structure)
     levels = _parse_levels(args.levels)
-    try:
-        rep = convergence_table(
-            s,
-            levels,
-            k=args.k,
-            model=args.model,
-            field=args.field,
-            measure=args.measure,
-            boundary=args.boundary,
-            renormalize=args.renormalize,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rep = convergence_table(
+        s,
+        levels,
+        k=args.k,
+        model=args.model,
+        field=args.field,
+        measure=args.measure,
+        boundary=args.boundary,
+        renormalize=args.renormalize,
+    )
     report = {
         "metadata": rep.metadata,
         "levels": rep.levels,
@@ -458,7 +446,7 @@ def cmd_audit(args) -> int:
     if args.field is None:
         args.field = f"random:{args.seed}"
     s, ref, mu = _prepare(args)
-    a = _resolve_field(ref.net, args.field)
+    a = field_from_spec(ref.net, args.field)
     rep = full_audit(
         ref.net,
         mu,
@@ -497,7 +485,7 @@ def cmd_gauge_check(args) -> int:
     if args.field is None:
         args.field = f"random:{args.seed}"
     s, ref, mu = _prepare(args)
-    base_field = _resolve_field(ref.net, args.field)
+    base_field = field_from_spec(ref.net, args.field)
     bnd = _resolve_boundary(ref, args.boundary)
     rng = np.random.default_rng(int(args.seed))
     lams = [rng.standard_normal(ref.net.vertex_count) for _ in range(int(args.count))]
@@ -577,7 +565,7 @@ def cmd_trace_check(args) -> int:
 
     # one-shot trace to the base vertices vs. tracing down level by level
     fine = refs[-1]
-    direct = trace_to(fine.net, [fine.name_to_index[nm] for nm in refs[0].names])
+    direct = trace_to(fine.net, embed_indices(fine, refs[0]))
     current = fine.net
     for k in range(level - 1, -1, -1):
         lookup = {nm: i for i, nm in enumerate(current.labels)}
@@ -600,7 +588,7 @@ def cmd_trace_check(args) -> int:
 def cmd_hodge(args) -> int:
     s, ref, mu = _prepare(args)
     del mu  # decomposition is measure-free
-    w = _resolve_field(ref.net, args.field)
+    w = field_from_spec(ref.net, args.field)
     dec = hodge_decompose(ref.net, w)
     basis = cycle_basis(ref.net)
     flux_w = cycle_fluxes(ref.net, w, basis)
@@ -633,7 +621,7 @@ def cmd_hodge(args) -> int:
 
 def cmd_zero_mode(args) -> int:
     s, ref, mu = _prepare(args)
-    field = _resolve_field(ref.net, args.field)
+    field = field_from_spec(ref.net, args.field)
     model = MagneticModel(kind="peierls", field=field)
     rep = zero_mode_test(
         ref.net,
@@ -648,7 +636,7 @@ def cmd_zero_mode(args) -> int:
 
 def cmd_solve(args) -> int:
     s, ref, mu = _prepare(args)
-    field = _resolve_field(ref.net, args.field)
+    field = field_from_spec(ref.net, args.field)
     model = MagneticModel(kind=args.model, field=field)
     pinned = _parse_vertex_set(args.dirichlet, ref)
     rhs = _parse_rhs(args.rhs, ref.net.vertex_count)
@@ -677,10 +665,10 @@ def cmd_solve(args) -> int:
 # parser
 
 
-def _add_common(p, measure_default="structure"):
+def _add_common(p):
     p.add_argument("--structure", required=True, help="structure JSON path or bundled name (interval, circle, gasket)")
     p.add_argument("--level", required=True, type=int, help="refinement level (>= 0)")
-    p.add_argument("--measure", default=measure_default, help="per-map weights: 'structure', 'uniform', or comma-separated values (rationals like 1/3 allowed)")
+    p.add_argument("--measure", default="structure", help="per-map weights: 'structure', 'uniform', or comma-separated values (rationals like 1/3 allowed)")
     p.add_argument("--output", default=None, help="write the report to this file instead of stdout")
 
 
@@ -753,8 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=float, default=8.0, help="margin parameter; must exceed 20/3")
     p.add_argument("--trials", type=int, default=200, help="random trial functions per audit")
     p.add_argument("--seed", type=int, default=42, help="seed for balls and trial functions")
-    p.add_argument("--balls", type=int, default=50, help="sampled balls for the Poincaré check")
-    p.add_argument("--poincare-trials", type=int, default=5, help="random functions for the Poincaré check")
+    p.add_argument("--balls", type=positive_int, default=50, help="sampled balls for the Poincaré check")
+    p.add_argument("--poincare-trials", type=positive_int, default=5, help="random functions for the Poincaré check")
     p.add_argument("--radii", default=None, help="comma-separated radii (default: dyadic fractions of the diameter)")
     p.add_argument("--tol", type=float, default=1e-9, help="relative slack for inequality checks")
     p.set_defaults(
@@ -834,13 +822,10 @@ def main(argv=None) -> int:
     except (NetworkError, SpectralError) as exc:
         print(f"magres: check failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"magres: linear algebra failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (InputError, StructureError, json.JSONDecodeError, ValueError) as exc:
-        print(f"magres: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # InputError, StructureError and JSON errors included
         print(f"magres: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

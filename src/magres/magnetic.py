@@ -53,6 +53,9 @@ MODEL_KINDS = ("linearized", "peierls")
 
 TWO_PI = 2.0 * np.pi
 
+#: Relative bound on the energy coupling of functions with separated supports.
+LOCALITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MagneticModel:
@@ -150,16 +153,20 @@ class MagneticAssembly:
 
     ``matrix`` satisfies ``g^H matrix f = E^a(f, g)`` on the kept vertices;
     it is Hermitian positive semidefinite by construction.  ``symmetrized``
-    is ``M^{-1/2} matrix M^{-1/2}`` for the diagonal mass matrix ``M``;
-    ``kept`` maps its rows back to vertices of the parent network (a proper
-    subset under Dirichlet boundary conditions).
+    computes ``M^{-1/2} matrix M^{-1/2}`` for the diagonal mass matrix ``M``
+    on each access; ``kept`` maps its rows back to vertices of the parent
+    network (a proper subset under Dirichlet boundary conditions).
     """
 
     matrix: np.ndarray
     mass: np.ndarray
     kept: np.ndarray
     boundary: str
-    symmetrized: np.ndarray
+
+    @property
+    def symmetrized(self) -> np.ndarray:
+        scale = 1.0 / np.sqrt(self.mass)
+        return self.matrix * np.outer(scale, scale)
 
 
 def assemble(
@@ -168,7 +175,7 @@ def assemble(
     mu,
     boundary="neumann",
 ) -> MagneticAssembly:
-    """Assemble the (restricted) magnetic energy matrix and its symmetrisation.
+    """Assemble the (restricted) magnetic energy matrix and its mass vector.
 
     ``boundary`` is ``"neumann"`` (keep everything) or a pair ``("dirichlet",
     vertex_indices)`` deleting the rows and columns of the given vertices.
@@ -206,15 +213,7 @@ def assemble(
         kept = np.nonzero(mask)[0]
         A = A[np.ix_(kept, kept)]
         mass = mass[kept]
-    scale = 1.0 / np.sqrt(mass)
-    symmetrized = A * np.outer(scale, scale)
-    return MagneticAssembly(
-        matrix=A,
-        mass=mass,
-        kept=kept,
-        boundary=kind if boundary != "neumann" else "neumann",
-        symmetrized=symmetrized,
-    )
+    return MagneticAssembly(matrix=A, mass=mass, kept=kept, boundary=kind)
 
 
 def gauge_transform(net: ResistanceNetwork, model: MagneticModel, lam) -> MagneticModel:
@@ -233,9 +232,9 @@ def gauge_transform(net: ResistanceNetwork, model: MagneticModel, lam) -> Magnet
 class ZeroModeReport:
     """Ground-state data of an assembly plus its flux-quantisation check.
 
-    ``consistent`` states whether ``zero_mode == fluxes_integral``; it is
-    ``None`` for the linearized model, whose flux criterion is only
-    asymptotic.
+    ``consistent`` states whether ``zero_mode == fluxes_integral`` and, when
+    a zero mode is found, ``modulus_spread <= spread_tol``; it is ``None``
+    for the linearized model, whose flux criterion is only asymptotic.
     """
 
     ground_energy: float
@@ -280,7 +279,9 @@ def zero_mode_test(
     max_defect = float(np.max(defects)) if defects.size else 0.0
     integral = bool(max_defect <= flux_tol)
     zero_mode = bool(ground < tol)
-    consistent = (zero_mode == integral) if model.kind == "peierls" else None
+    consistent = None
+    if model.kind == "peierls":
+        consistent = zero_mode == integral and (not zero_mode or spread <= spread_tol)
     return ZeroModeReport(
         ground_energy=ground,
         modulus_spread=spread,
@@ -315,7 +316,6 @@ def locality_check(
     model: MagneticModel,
     f,
     g,
-    tol: float = 1e-12,
 ) -> LocalityReport:
     """Verify that the magnetic energy couples nothing across a support gap."""
     f = net._check_vertex_values(f)
@@ -330,7 +330,7 @@ def locality_check(
     if shared:
         return LocalityReport(False, shared, None, scale, None)
     value = complex(magnetic_energy(net, model, f, g))
-    passed = bool(abs(value) <= tol * max(scale, 1.0))
+    passed = bool(abs(value) <= LOCALITY_TOL * max(scale, 1.0))
     return LocalityReport(True, 0, value, scale, passed)
 
 

@@ -188,16 +188,12 @@ def _partition_indices(net: ResistanceNetwork, keep: Sequence[int]) -> tuple[np.
     return keep, interior
 
 
-def trace_to(
-    net: ResistanceNetwork,
-    keep: Sequence[int],
-    zero_tol: float = TRACE_ZERO_TOL,
-) -> ResistanceNetwork:
+def trace_to(net: ResistanceNetwork, keep: Sequence[int]) -> ResistanceNetwork:
     """Trace the energy form onto a vertex subset via the Schur complement.
 
     The returned network's vertex ``k`` corresponds to ``sorted(set(keep))[k]``
     in the parent.  Off-diagonal Schur entries whose magnitude falls below
-    ``zero_tol`` relative to the largest one are dropped as absent edges.
+    ``TRACE_ZERO_TOL`` relative to the largest one are dropped as absent edges.
     """
     keep, interior = _partition_indices(net, keep)
     labels = None if net.labels is None else tuple(net.labels[v] for v in keep)
@@ -216,8 +212,7 @@ def trace_to(
     iu, ju = np.triu_indices(keep.size, k=1)
     cond = -S[iu, ju]
     scale = float(np.max(np.abs(cond))) if cond.size else 0.0
-    threshold = zero_tol * scale
-    present = np.abs(cond) > threshold
+    present = np.abs(cond) > TRACE_ZERO_TOL * scale
     if np.any(cond[present] < 0.0):
         raise NetworkError("Schur complement produced a significantly negative conductance")
     edges = zip(iu[present], ju[present], cond[present])

@@ -82,19 +82,16 @@ def module_action(net: ResistanceNetwork, g, w) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FormSupport:
-    """Edges where a form exceeds the threshold, and their endpoints."""
+    """Edges where a form is nonzero, and their endpoints."""
 
     edges: tuple[int, ...]
     vertices: tuple[int, ...]
 
 
-def support(net: ResistanceNetwork, w, tol: float = 0.0) -> FormSupport:
-    """Support of a form: edges with ``|w_e| > tol`` plus their endpoints.
-
-    Thresholding is on plain magnitudes, not conductance-weighted ones.
-    """
+def support(net: ResistanceNetwork, w) -> FormSupport:
+    """Support of a form: edges with ``|w_e| > 0`` plus their endpoints."""
     w = _check_form(net, w)
-    edges = np.nonzero(np.abs(w) > tol)[0]
+    edges = np.nonzero(np.abs(w) > 0.0)[0]
     verts = np.unique(np.concatenate([net.tails[edges], net.heads[edges]]))
     return FormSupport(tuple(int(e) for e in edges), tuple(int(v) for v in verts))
 
@@ -248,13 +245,12 @@ def cycle_field(
     index: int,
     amplitude: float = 1.0,
     basis: CycleBasis | None = None,
-    coulomb: bool = True,
 ) -> np.ndarray:
     """Real field with flux ``amplitude`` on one fundamental cycle, 0 on others.
 
     Starts from the chord indicator of the chosen cycle (flux exactly
-    ``amplitude`` there by construction) and, by default, returns its
-    divergence-free coulomb part, which has identical fluxes.
+    ``amplitude`` there by construction) and returns its divergence-free
+    coulomb part, which has identical fluxes.
     """
     basis = cycle_basis(net) if basis is None else basis
     if not 0 <= index < len(basis.cycles):
@@ -263,9 +259,7 @@ def cycle_field(
         )
     w = np.zeros(net.edge_count, dtype=np.float64)
     w[basis.chords[index]] = float(amplitude)
-    if coulomb:
-        w = hodge_decompose(net, w).coulomb
-    return w
+    return hodge_decompose(net, w).coulomb
 
 
 def field_from_spec(net: ResistanceNetwork, spec: str) -> np.ndarray:

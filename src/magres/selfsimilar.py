@@ -376,7 +376,10 @@ def parse_measure_spec(spec, map_count: int) -> list:
         parts = [p.strip() for p in spec.split(",") if p.strip()]
         weights = [_rational(p) for p in parts]
     else:
-        weights = [_rational(w) if isinstance(w, (int, str)) else float(w) for w in spec]
+        weights = [
+            w if isinstance(w, Fraction) else _rational(w) if isinstance(w, (int, str)) else float(w)
+            for w in spec
+        ]
     if len(weights) != map_count:
         raise StructureError(f"measure spec needs {map_count} weights, got {len(weights)}")
     for w in weights:
@@ -481,9 +484,12 @@ def structure_from_dict(data: Mapping, name: str = "") -> PCFStructure:
         maps_data = list(data["maps"])
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed structure JSON: {exc}") from exc
-    raw_edges = [(e[0], e[1], _rational(e[2])) for e in base_data.get("edges", [])]
-    base_data["edges"] = [[i, j, float(c)] for i, j, c in raw_edges]
-    base = network_from_dict(base_data)
+    try:
+        raw_edges = [(e[0], e[1], _rational(e[2])) for e in base_data.get("edges", [])]
+        base_data["edges"] = [[i, j, float(c)] for i, j, c in raw_edges]
+        base = network_from_dict(base_data)
+    except (NetworkError, IndexError, TypeError) as exc:
+        raise StructureError(f"malformed base network: {exc}") from exc
     exact_by_pair = {
         (min(int(i), int(j)), max(int(i), int(j))): c for i, j, c in raw_edges
     }

@@ -5,15 +5,11 @@ eigensolution.  Eigenvalues reported are those of the nonnegative operator
 ``M^{-1} A`` (equivalently of the symmetrised ``M^{-1/2} A M^{-1/2}``),
 in ascending order; Neumann conditions are the default, Dirichlet pins the
 structure's boundary set.  Flux sweeps evaluate one spectrum per flux value
-of a single-cycle field; independent flux points may run on a small thread
-pool capped by the ``MAGRES_THREADS`` environment variable, with results
-assembled in input order so output never depends on the worker count.
+of a single-cycle field.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -34,11 +30,16 @@ __all__ = [
     "convergence_table",
     "compare_spectra",
     "renormalization_base",
-    "thread_count",
 ]
 
 #: Dense eigensolution is refused beyond this dimension.
 MAX_DENSE_DIM = 4096
+
+#: Largest Hermiticity defect accepted, relative to the largest entry.
+HERMITICITY_TOL = 1e-10
+
+#: Relative eigen-residual and absolute Gram defect accepted for eigenvectors.
+RESIDUAL_TOL = 1e-9
 
 #: Relative scale for the positive-semidefiniteness floor of reported spectra.
 PSD_FLOOR = 1e-10
@@ -48,26 +49,13 @@ class SpectralError(RuntimeError):
     """Raised when an eigensolution violates its accuracy contract."""
 
 
-def thread_count() -> int:
-    """Worker cap for independent spectra, from ``MAGRES_THREADS`` (default 1)."""
-    try:
-        return max(1, int(os.environ.get("MAGRES_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def hermitian_eigs(
-    H: np.ndarray,
-    compute_vectors: bool = True,
-    hermiticity_tol: float = 1e-10,
-    residual_tol: float = 1e-9,
-):
+def hermitian_eigs(H: np.ndarray, compute_vectors: bool = True):
     """Checked dense Hermitian eigendecomposition, eigenvalues ascending.
 
-    Rejects inputs whose Hermiticity defect exceeds ``hermiticity_tol``
-    relative to the largest entry, and enforces the residual bound
-    ``max |H v - w v| <= residual_tol * max(1, |w|_max)`` together with
-    orthonormality of the eigenvector columns on every call.
+    Rejects inputs whose Hermiticity defect exceeds ``HERMITICITY_TOL``
+    relative to the largest entry.  When eigenvectors are computed it also
+    enforces the residual bound ``max |H v - w v| <= RESIDUAL_TOL * max(1,
+    |w|_max)`` and orthonormality of the eigenvector columns.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -77,7 +65,7 @@ def hermitian_eigs(
         raise SpectralError(f"matrix dimension {n} exceeds dense limit {MAX_DENSE_DIM}")
     scale = max(1.0, float(np.max(np.abs(H)))) if n else 1.0
     defect = float(np.max(np.abs(H - H.conj().T))) if n else 0.0
-    if defect > hermiticity_tol * scale:
+    if defect > HERMITICITY_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} at scale {scale:.3e}")
     Hs = 0.5 * (H + H.conj().T)
     if not compute_vectors:
@@ -85,12 +73,12 @@ def hermitian_eigs(
         return np.asarray(w, dtype=np.float64)
     w, V = scipy.linalg.eigh(Hs, check_finite=False)
     w = np.asarray(w, dtype=np.float64)
-    bound = residual_tol * max(1.0, float(np.max(np.abs(w))) if n else 1.0)
+    bound = RESIDUAL_TOL * max(1.0, float(np.max(np.abs(w))) if n else 1.0)
     residual = float(np.max(np.abs(Hs @ V - V * w[None, :]))) if n else 0.0
     if residual > bound:
         raise SpectralError(f"eigensolver residual {residual:.3e} exceeds bound {bound:.3e}")
     gram_defect = float(np.max(np.abs(V.conj().T @ V - np.eye(n)))) if n else 0.0
-    if gram_defect > residual_tol:
+    if gram_defect > RESIDUAL_TOL:
         raise SpectralError(f"eigenvectors not orthonormal: defect {gram_defect:.3e}")
     return w, V
 
@@ -151,6 +139,8 @@ def _resolve_boundary(ref: Refinement, boundary):
     if boundary == "neumann":
         return "neumann"
     if boundary == "dirichlet":
+        if len(ref.boundary) == ref.net.vertex_count:
+            raise ValueError("dirichlet boundary set leaves no free vertex")
         return ("dirichlet", ref.boundary)
     return boundary
 
@@ -223,8 +213,7 @@ def flux_sweep(
     """Sweep the flux of one fundamental cycle over a grid of values.
 
     The field at flux ``t`` is ``t`` times the unit-flux coulomb form of the
-    chosen cycle.  Flux points are independent and may be evaluated on a
-    thread pool (``MAGRES_THREADS``); rows are assembled in input order.
+    chosen cycle.
     """
     fluxes = np.asarray(fluxes, dtype=np.float64)
     if fluxes.ndim != 1 or fluxes.size == 0:
@@ -236,17 +225,13 @@ def flux_sweep(
     unit = cycle_field(ref.net, int(cycle_index), 1.0, basis=basis)
     bnd = _resolve_boundary(ref, boundary)
 
-    def one(t: float) -> np.ndarray:
-        mod = MagneticModel(kind=model, field=t * unit)
-        asm = assemble(ref.net, mod, mu, bnd)
-        return hermitian_eigs(asm.symmetrized, compute_vectors=False)
-
-    workers = min(thread_count(), fluxes.size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, fluxes))
-    else:
-        rows = [one(t) for t in fluxes]
+    rows = [
+        hermitian_eigs(
+            assemble(ref.net, MagneticModel(kind=model, field=t * unit), mu, bnd).symmetrized,
+            compute_vectors=False,
+        )
+        for t in fluxes
+    ]
     k_eff = rows[0].size if k is None else min(int(k), rows[0].size)
     table = np.vstack([row[:k_eff] for row in rows])
     metadata = {

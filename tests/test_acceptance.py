@@ -378,7 +378,6 @@ def run_suite(root: Path, monkeypatch) -> dict[str, bytes]:
 
 
 def test_12_cli_suite_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.delenv("MAGRES_THREADS", raising=False)
     first = run_suite(tmp_path / "run1", monkeypatch)
     second = run_suite(tmp_path / "run2", monkeypatch)
     assert sorted(first) == sorted(second)

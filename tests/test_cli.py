@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -66,10 +67,35 @@ def test_malformed_structure_file_exits_2(tmp_path, capsys):
     assert "line" in err  # json decode errors carry a position
 
 
+def test_structure_file_with_out_of_range_edge_exits_2(tmp_path, capsys):
+    data = structure_to_dict(bundled_structure("gasket"))
+    data["base"]["edges"][-1] = [1, 5, 1]
+    bad = tmp_path / "bad-edge.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["spectrum", "--structure", str(bad), "--level", "1", "--model", "peierls"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "out of range" in err
+    assert "check failed" not in err
+
+
 def test_negative_level_exits_2(capsys):
     code = main(["spectrum", "--structure", "gasket", "--level", "-1", "--model", "peierls"])
     assert code == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--structure", "interval", "--level", "0", "--model", "peierls"],
+        ["gauge-check", "--structure", "interval", "--level", "0", "--model", "peierls"],
+        ["converge", "--structure", "interval", "--levels", "0,1", "--k", "1", "--model", "peierls"],
+    ],
+)
+def test_dirichlet_without_free_vertex_exits_2(argv, capsys):
+    assert main(argv + ["--boundary", "dirichlet"]) == EXIT_INPUT
+    assert "leaves no free vertex" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -83,6 +109,10 @@ def test_negative_level_exits_2(capsys):
         ["converge", "--structure", "gasket", "--levels", "1,2", "--model", "peierls", "--k", "-2"],
         ["gauge-check", "--structure", "gasket", "--level", "1", "--model", "peierls", "--count", "0"],
         ["gauge-check", "--structure", "gasket", "--level", "1", "--model", "peierls", "--count", "-1"],
+        ["audit", "--structure", "gasket", "--level", "1", "--balls", "-1"],
+        ["audit", "--structure", "gasket", "--level", "1", "--balls", "0"],
+        ["audit", "--structure", "gasket", "--level", "1", "--poincare-trials", "-1"],
+        ["audit", "--structure", "gasket", "--level", "1", "--poincare-trials", "0"],
     ],
 )
 def test_nonpositive_k_or_count_exits_2(argv, capsys):
@@ -445,6 +475,21 @@ def test_zero_mode_full_flux_quantum(capsys):
     assert doc["report"]["ground_energy"] < 1e-9
 
 
+def test_zero_mode_enforces_spread_tol(capsys):
+    # the ground state of a full flux quantum has constant modulus only up to roundoff
+    code, doc = run_json(
+        capsys,
+        ["zero-mode", "--structure", "gasket", "--level", "2",
+         "--field", f"cycle:0:{TWO_PI}", "--spread-tol", "0"],
+    )
+    assert code == EXIT_FAIL
+    assert doc["verdict"] == "FAIL"
+    assert doc["report"]["zero_mode"] is True
+    assert doc["report"]["fluxes_integral"] is True
+    assert doc["report"]["modulus_spread"] > 0.0
+    assert doc["report"]["consistent"] is False
+
+
 def test_zero_mode_half_flux_consistent(capsys):
     code, doc = run_json(
         capsys,
@@ -529,11 +574,15 @@ def test_console_entry_point_runs():
         cmd = [sys.executable, "-m", "magres.cli"]
     else:
         cmd = [exe]
+    # the child process imports the same package as this test, installed or not
+    src = str(Path(magres.cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         cmd + ["spectrum", "--structure", "circle", "--level", "2", "--model", "peierls"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p)),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -282,11 +282,16 @@ def test_custom_weights_shift_vertex_measure(interval):
     assert by_name["R"] == pytest.approx(1 / 8)
 
 
-def test_parse_measure_spec_variants():
+def test_parse_measure_spec_variants(gasket):
     assert parse_measure_spec(None, 3) is None
     assert parse_measure_spec("structure", 3) is None
     uni = parse_measure_spec("uniform", 3)
     assert uni == [Fraction(1, 3)] * 3
+    # Fraction entries stay exact, so they give the same masses as the text spec
+    exact = parse_measure_spec([Fraction(1, 3)] * 3, 3)
+    assert all(isinstance(w, Fraction) for w in exact)
+    ref = refine(gasket, 4)
+    assert np.array_equal(vertex_measure(ref, exact).mass, vertex_measure(ref, "uniform").mass)
     assert parse_measure_spec("1/2,1/2", 2) == [Fraction(1, 2), Fraction(1, 2)]
     with pytest.raises(StructureError):
         parse_measure_spec("1/2,1/2,1/2", 3)  # does not sum to 1
@@ -345,12 +350,16 @@ def test_load_structure_embedded_name_wins(tmp_path, interval):
     assert load_structure(p).name == "interval"
 
 
-def test_structure_from_dict_rejects_malformed():
+def test_structure_from_dict_rejects_malformed(gasket):
     with pytest.raises(StructureError):
         structure_from_dict({"maps": []})
     with pytest.raises(StructureError):
         structure_from_dict({"base": {"vertices": 2, "labels": ["L", "R"], "edges": [[0, 1, 1]]},
                              "maps": [{"r": "1/2"}]})
+    bad_edge = structure_to_dict(gasket)
+    bad_edge["base"]["edges"][-1] = [1, 5, 1]
+    with pytest.raises(StructureError, match="out of range"):
+        structure_from_dict(bad_edge)
 
 
 def test_bundled_structure_unknown_name():

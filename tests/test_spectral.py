@@ -14,7 +14,6 @@ from magres import (
     hermitian_eigs,
     refine,
     spectrum,
-    thread_count,
     vertex_measure,
 )
 from magres.spectral import MAX_DENSE_DIM
@@ -206,28 +205,6 @@ def test_flux_sweep_periodic_and_symmetric(circle):
     rep = flux_sweep(circle, 4, 0, fluxes)
     assert np.max(np.abs(rep.table[4] - rep.table[0])) < 1e-8
     assert np.max(np.abs(rep.table[3] - rep.table[1])) < 1e-8
-
-
-def test_flux_sweep_thread_pool_matches_serial(circle, monkeypatch):
-    fluxes = np.linspace(0.0, 2.0 * np.pi, 6)
-    monkeypatch.setenv("MAGRES_THREADS", "1")
-    serial = flux_sweep(circle, 4, 0, fluxes)
-    monkeypatch.setenv("MAGRES_THREADS", "4")
-    assert thread_count() == 4
-    threaded = flux_sweep(circle, 4, 0, fluxes)
-    assert np.array_equal(serial.table, threaded.table)
-    assert np.array_equal(serial.fluxes, threaded.fluxes)
-
-
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("MAGRES_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("MAGRES_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("MAGRES_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("MAGRES_THREADS", "not-a-number")
-    assert thread_count() == 1
 
 
 def test_flux_sweep_rejects_bad_grid(gasket):
