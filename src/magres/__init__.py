@@ -6,191 +6,23 @@ effective resistances), equips edges with discrete 1-forms and magnetic
 vector potentials, assembles the resulting Hermitian operators in two
 models (linearized and phase/Peierls), and reports spectra, flux sweeps,
 gauge checks, and quantitative functional-inequality audits.
+
+Each module's ``__all__`` is its list of public names; the package exports
+their concatenation.
 """
 
-from .network import (
-    CellPartition,
-    NetworkError,
-    ResistanceEstimateReport,
-    ResistanceNetwork,
-    check_resistance_estimate,
-    conductance_deviation,
-    effective_resistance,
-    energy,
-    energy_measure_on_cells,
-    harmonic_extension,
-    laplacian,
-    network_from_dict,
-    network_to_dict,
-    resistance_matrix,
-    trace_to,
-)
-from .selfsimilar import (
-    CompatibilityReport,
-    ContractionMap,
-    PCFStructure,
-    Refinement,
-    StructureError,
-    VertexMeasure,
-    bundled_structure,
-    cell_measures,
-    cell_partition,
-    embed_indices,
-    load_structure,
-    parse_measure_spec,
-    refine,
-    resistance_ball,
-    structure_from_dict,
-    structure_to_dict,
-    verify_compatibility,
-    vertex_measure,
-)
-from .oneforms import (
-    CycleBasis,
-    HodgeDecomposition,
-    cycle_basis,
-    cycle_field,
-    cycle_fluxes,
-    derivation,
-    divergence,
-    edgeform_from_dict,
-    edgeform_to_dict,
-    field_from_spec,
-    hodge_decompose,
-    inner,
-    module_action,
-    support,
-)
-from .magnetic import (
-    MagneticAssembly,
-    MagneticModel,
-    ZeroModeReport,
-    assemble,
-    b_form_terms,
-    dirichlet_solve,
-    gauge_transform,
-    locality_check,
-    magnetic_energy,
-    zero_mode_test,
-)
-from .measure_audit import (
-    FaBoundReport,
-    KLMNReport,
-    MeasureAuditReport,
-    PoincareReport,
-    SupBoundReport,
-    doubling_estimate,
-    dyadic_radii,
-    fa_bound_audit,
-    full_audit,
-    klmn_audit,
-    lower_mass_profile,
-    metric_doubling_estimate,
-    poincare_check,
-    sup_bound_audit,
-    sup_ratio,
-)
-from .spectral import (
-    ConvergenceReport,
-    FluxSweepReport,
-    SpectralError,
-    SpectrumReport,
-    compare_spectra,
-    convergence_table,
-    flux_sweep,
-    hermitian_eigs,
-    spectrum,
-)
+from . import magnetic, measure_audit, network, oneforms, selfsimilar, spectral
+from .network import *
+from .selfsimilar import *
+from .oneforms import *
+from .magnetic import *
+from .measure_audit import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
-    # network
-    "NetworkError",
-    "ResistanceNetwork",
-    "CellPartition",
-    "ResistanceEstimateReport",
-    "energy",
-    "laplacian",
-    "trace_to",
-    "harmonic_extension",
-    "effective_resistance",
-    "resistance_matrix",
-    "check_resistance_estimate",
-    "energy_measure_on_cells",
-    "conductance_deviation",
-    "network_to_dict",
-    "network_from_dict",
-    # selfsimilar
-    "StructureError",
-    "ContractionMap",
-    "PCFStructure",
-    "VertexMeasure",
-    "Refinement",
-    "CompatibilityReport",
-    "refine",
-    "embed_indices",
-    "verify_compatibility",
-    "parse_measure_spec",
-    "cell_measures",
-    "vertex_measure",
-    "cell_partition",
-    "resistance_ball",
-    "structure_to_dict",
-    "structure_from_dict",
-    "load_structure",
-    "bundled_structure",
-    # oneforms
-    "CycleBasis",
-    "HodgeDecomposition",
-    "derivation",
-    "inner",
-    "module_action",
-    "support",
-    "divergence",
-    "hodge_decompose",
-    "cycle_basis",
-    "cycle_fluxes",
-    "cycle_field",
-    "field_from_spec",
-    "edgeform_to_dict",
-    "edgeform_from_dict",
-    # magnetic
-    "MagneticModel",
-    "MagneticAssembly",
-    "ZeroModeReport",
-    "magnetic_energy",
-    "b_form_terms",
-    "assemble",
-    "gauge_transform",
-    "zero_mode_test",
-    "locality_check",
-    "dirichlet_solve",
-    # measure_audit
-    "PoincareReport",
-    "SupBoundReport",
-    "FaBoundReport",
-    "KLMNReport",
-    "MeasureAuditReport",
-    "lower_mass_profile",
-    "doubling_estimate",
-    "metric_doubling_estimate",
-    "dyadic_radii",
-    "poincare_check",
-    "sup_ratio",
-    "sup_bound_audit",
-    "fa_bound_audit",
-    "klmn_audit",
-    "full_audit",
-    # spectral
-    "SpectralError",
-    "SpectrumReport",
-    "FluxSweepReport",
-    "ConvergenceReport",
-    "hermitian_eigs",
-    "spectrum",
-    "flux_sweep",
-    "convergence_table",
-    "compare_spectra",
+    name
+    for module in (network, selfsimilar, oneforms, magnetic, measure_audit, spectral)
+    for name in module.__all__
 ]

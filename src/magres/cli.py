@@ -173,6 +173,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def tolerance(text: str) -> float:
+    """Argparse type for tolerances: a finite float, zero allowed."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _resolve_structure(text: str):
     path = Path(text)
     if path.is_file():
@@ -336,7 +344,7 @@ def cmd_build(args) -> int:
     compat = None
     verdict = "PASS"
     if not args.skip_check:
-        rep = verify_compatibility(s, int(args.level), tol=float(args.tol))
+        rep = verify_compatibility(ref, refine(s, int(args.level) + 1), tol=float(args.tol))
         compat = asdict(rep)
         if not rep.passed:
             verdict = "FAIL"
@@ -370,19 +378,16 @@ def cmd_spectrum(args) -> int:
 def cmd_flux_sweep(args) -> int:
     s = _resolve_structure(args.structure)
     grid = _parse_grid(args.grid)
-    try:
-        sweep = flux_sweep(
-            s,
-            args.level,
-            args.cycle,
-            grid,
-            model=args.model,
-            measure=args.measure,
-            boundary=args.boundary,
-            k=args.k,
-        )
-    except IndexError as exc:
-        raise InputError(f"cycle index {args.cycle}: {exc}") from exc
+    sweep = flux_sweep(
+        s,
+        args.level,
+        args.cycle,
+        grid,
+        model=args.model,
+        measure=args.measure,
+        boundary=args.boundary,
+        k=args.k,
+    )
 
     # spectra must repeat at fluxes equal mod 2*pi and agree under negation
     tol = float(args.tol)
@@ -439,7 +444,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if float(args.M) <= MIN_KLMN_M:
+    if not float(args.M) > MIN_KLMN_M:
         raise InputError(
             f"--M must exceed 20/3 ~= {MIN_KLMN_M:.4f} for a margin below 1, got {args.M}"
         )
@@ -559,7 +564,7 @@ def cmd_trace_check(args) -> int:
     compat = []
     all_ok = True
     for k in range(level):
-        rep = verify_compatibility(s, k, tol=float(args.compat_tol))
+        rep = verify_compatibility(refs[k], refs[k + 1], tol=float(args.compat_tol))
         compat.append(asdict(rep))
         all_ok = all_ok and rep.passed
 
@@ -684,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--out-dir", default=".", help="directory for the emitted files")
     p.add_argument("--prefix", default=None, help="file name prefix (default: <structure>-L<level>)")
-    p.add_argument("--tol", type=float, default=1e-10, help="refinement compatibility tolerance")
+    p.add_argument("--tol", type=tolerance, default=1e-10, help="refinement compatibility tolerance")
     p.add_argument("--skip-check", action="store_true", help="skip the level-(n+1) compatibility check")
     p.set_defaults(
         func=cmd_build,
@@ -709,10 +714,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--model", required=True, choices=["peierls"], help="magnetic model (flux quantization is exact only for peierls)")
     p.add_argument("--cycle", type=int, default=0, help="fundamental cycle index")
-    p.add_argument("--grid", required=True, help="flux grid start:stop:count (stop inclusive)")
+    p.add_argument("--grid", required=True, help="flux grid start:stop:count (stop inclusive); write a negative start as --grid=-3:3:5")
     p.add_argument("--boundary", choices=["neumann", "dirichlet"], default="neumann")
     p.add_argument("--k", type=positive_int, default=None, help="keep only the first k eigenvalues per flux")
-    p.add_argument("--tol", type=float, default=1e-8, help="tolerance for periodicity/symmetry row agreement")
+    p.add_argument("--tol", type=tolerance, default=1e-8, help="tolerance for periodicity/symmetry row agreement")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(
         func=cmd_flux_sweep,
@@ -739,12 +744,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--field", default=None, help="edge field spec (default: random:<seed>)")
     p.add_argument("--M", type=float, default=8.0, help="margin parameter; must exceed 20/3")
-    p.add_argument("--trials", type=int, default=200, help="random trial functions per audit")
+    p.add_argument("--trials", type=positive_int, default=200, help="random trial functions per audit")
     p.add_argument("--seed", type=int, default=42, help="seed for balls and trial functions")
     p.add_argument("--balls", type=positive_int, default=50, help="sampled balls for the Poincaré check")
     p.add_argument("--poincare-trials", type=positive_int, default=5, help="random functions for the Poincaré check")
     p.add_argument("--radii", default=None, help="comma-separated radii (default: dyadic fractions of the diameter)")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative slack for inequality checks")
+    p.add_argument("--tol", type=tolerance, default=1e-9, help="relative slack for inequality checks")
     p.set_defaults(
         func=cmd_audit,
         config_keys=("structure", "level", "measure", "field", "M", "trials", "seed", "balls", "poincare_trials", "radii", "tol"),
@@ -757,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", choices=["neumann", "dirichlet"], default="neumann")
     p.add_argument("--count", type=positive_int, default=5, help="number of random gauge potentials")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.set_defaults(
         func=cmd_gauge_check,
         config_keys=("structure", "level", "model", "field", "measure", "boundary", "count", "seed", "tol"),
@@ -766,8 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace-check", help="Schur-trace consistency across refinement levels")
     p.add_argument("--structure", required=True, help="structure JSON path or bundled name")
     p.add_argument("--level", required=True, type=int, help="deepest level to check (>= 1)")
-    p.add_argument("--tol", type=float, default=1e-9, help="iterated-vs-direct trace tolerance")
-    p.add_argument("--compat-tol", type=float, default=1e-10, help="per-level compatibility tolerance")
+    p.add_argument("--tol", type=tolerance, default=1e-9, help="iterated-vs-direct trace tolerance")
+    p.add_argument("--compat-tol", type=tolerance, default=1e-10, help="per-level compatibility tolerance")
     p.add_argument("--output", default=None)
     p.set_defaults(
         func=cmd_trace_check,
@@ -777,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hodge", help="decompose an edge field into exact and coulomb parts")
     _add_common(p)
     p.add_argument("--field", default="random:0", help="edge field spec")
-    p.add_argument("--tol", type=float, default=1e-10, help="relative tolerance for the residual checks")
+    p.add_argument("--tol", type=tolerance, default=1e-10, help="relative tolerance for the residual checks")
     p.set_defaults(
         func=cmd_hodge,
         config_keys=("structure", "level", "field", "tol"),
@@ -787,9 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--model", choices=["peierls"], default="peierls", help="magnetic model (the flux criterion is exact only for peierls)")
     p.add_argument("--field", default="zero", help="edge field spec")
-    p.add_argument("--tol", type=float, default=1e-9, help="zero-mode energy tolerance")
-    p.add_argument("--spread-tol", type=float, default=1e-6, help="ground-state modulus spread tolerance")
-    p.add_argument("--flux-tol", type=float, default=1e-8, help="flux integrality tolerance")
+    p.add_argument("--tol", type=tolerance, default=1e-9, help="zero-mode energy tolerance")
+    p.add_argument("--spread-tol", type=tolerance, default=1e-6, help="ground-state modulus spread tolerance")
+    p.add_argument("--flux-tol", type=tolerance, default=1e-8, help="flux integrality tolerance")
     p.set_defaults(
         func=cmd_zero_mode,
         config_keys=("structure", "level", "model", "field", "measure", "tol", "spread_tol", "flux_tol"),
@@ -801,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="zero", help="edge field spec")
     p.add_argument("--dirichlet", required=True, help="pinned set: 'boundary', comma-separated indices, or a JSON file")
     p.add_argument("--rhs", required=True, help="right-hand side: delta:<i>, constant:<v>, or a JSON file")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative residual tolerance")
+    p.add_argument("--tol", type=tolerance, default=1e-9, help="relative residual tolerance")
     p.add_argument("--export-matrix", default=None, help="also write the assembled matrix as JSON")
     p.set_defaults(
         func=cmd_solve,

@@ -24,14 +24,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .network import NetworkError, ResistanceNetwork, energy
-from .oneforms import (
-    CycleBasis,
-    cycle_fluxes,
-    derivation,
-    inner,
-    module_action,
-)
+from .network import NetworkError, ResistanceNetwork
+from .oneforms import cycle_fluxes, derivation, inner, module_action
 from .selfsimilar import VertexMeasure
 
 __all__ = [
@@ -178,7 +172,9 @@ def assemble(
     """Assemble the (restricted) magnetic energy matrix and its mass vector.
 
     ``boundary`` is ``"neumann"`` (keep everything) or a pair ``("dirichlet",
-    vertex_indices)`` deleting the rows and columns of the given vertices.
+    vertex_indices)`` deleting the rows and columns of the given vertices;
+    any other spec, or a pinned set that is empty, out of range or covers
+    every vertex, raises ``ValueError``.
     """
     k_tail, k_head = _edge_coefficients(net, model)
     mass = _mass_vector(net, mu)
@@ -198,16 +194,16 @@ def assemble(
         try:
             kind, dirichlet = boundary
         except (TypeError, ValueError):
-            raise NetworkError(f"unknown boundary condition {boundary!r}")
+            raise ValueError(f"unknown boundary condition {boundary!r}")
         if kind != "dirichlet":
-            raise NetworkError(f"unknown boundary condition {kind!r}")
+            raise ValueError(f"unknown boundary condition {kind!r}")
         dirichlet = np.asarray(sorted({int(v) for v in dirichlet}), dtype=np.int64)
         if dirichlet.size == 0:
-            raise NetworkError("dirichlet boundary set is empty")
+            raise ValueError("dirichlet boundary set is empty")
         if dirichlet[0] < 0 or dirichlet[-1] >= n:
-            raise NetworkError("dirichlet boundary set out of range")
+            raise ValueError("dirichlet boundary set out of range")
         if dirichlet.size == n:
-            raise NetworkError("dirichlet boundary set leaves no free vertex")
+            raise ValueError("dirichlet boundary set leaves no free vertex")
         mask = np.ones(n, dtype=bool)
         mask[dirichlet] = False
         kept = np.nonzero(mask)[0]
@@ -253,7 +249,6 @@ def zero_mode_test(
     net: ResistanceNetwork,
     model: MagneticModel,
     mu,
-    basis: CycleBasis | None = None,
     tol: float = 1e-9,
     spread_tol: float = 1e-6,
     flux_tol: float = 1e-8,
@@ -274,7 +269,7 @@ def zero_mode_test(
     lo, hi = float(np.min(mods)), float(np.max(mods))
     spread = float("inf") if lo == 0.0 else hi / lo - 1.0
 
-    fluxes = np.asarray(cycle_fluxes(net, model.field, basis), dtype=np.float64)
+    fluxes = np.asarray(cycle_fluxes(net, model.field), dtype=np.float64)
     defects = np.abs(fluxes - TWO_PI * np.round(fluxes / TWO_PI)) if fluxes.size else np.zeros(0)
     max_defect = float(np.max(defects)) if defects.size else 0.0
     integral = bool(max_defect <= flux_tol)

@@ -52,6 +52,9 @@ MIN_KLMN_M = 20.0 / 3.0
 
 DEFAULT_SLACK = 1e-9
 
+#: Number of dyadic radii ``diameter / 2^k`` the audit samples by default.
+DYADIC_RADIUS_COUNT = 6
+
 
 def _mu_norm_sq(mass: np.ndarray, f: np.ndarray) -> float:
     return float(np.sum(mass * np.abs(f) ** 2))
@@ -66,12 +69,12 @@ def _check_radii(radii) -> list[float]:
     return out
 
 
-def dyadic_radii(diameter: float, count: int = 6) -> list[float]:
-    """Radii ``diameter / 2^k`` for ``k = 0 .. count-1``."""
+def dyadic_radii(diameter: float) -> list[float]:
+    """Radii ``diameter / 2^k`` for ``k = 0 .. DYADIC_RADIUS_COUNT - 1``."""
     diameter = float(diameter)
     if diameter <= 0.0:
         raise ValueError("diameter must be positive")
-    return [diameter * 0.5**k for k in range(int(count))]
+    return [diameter * 0.5**k for k in range(DYADIC_RADIUS_COUNT)]
 
 
 def lower_mass_profile(net: ResistanceNetwork, Rmat, mu, radii):
@@ -266,7 +269,7 @@ def fa_bound_audit(
 ) -> FaBoundReport:
     """Fit the multiplication bound constant on a seeded trial ensemble."""
     M = float(M)
-    if M <= 0.0:
+    if not M > 0.0:
         raise ValueError("M must be positive")
     mass = _mass_vector(net, mu)
     a = np.asarray(a)
@@ -335,7 +338,7 @@ def klmn_audit(
     signal a numerical problem rather than a sharp constant.
     """
     M = float(M)
-    if M <= MIN_KLMN_M:
+    if not M > MIN_KLMN_M:
         raise ValueError(f"M must exceed 20/3 ~= {MIN_KLMN_M:.4f}, got {M}")
     epsilon = 0.25 + 5.0 / M
     fa_rep = fa_bound_audit(net, mu, a, M, trials=trials, seed=seed)

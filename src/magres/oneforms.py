@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -25,21 +24,17 @@ import scipy.linalg
 from .network import NetworkError, ResistanceNetwork, _cho_solve, laplacian
 
 __all__ = [
-    "FormSupport",
     "HodgeDecomposition",
     "CycleBasis",
     "derivation",
     "inner",
     "module_action",
-    "support",
     "divergence",
     "hodge_decompose",
     "cycle_basis",
     "cycle_fluxes",
     "cycle_field",
     "field_from_spec",
-    "edgeform_to_dict",
-    "edgeform_from_dict",
 ]
 
 
@@ -78,22 +73,6 @@ def module_action(net: ResistanceNetwork, g, w) -> np.ndarray:
     g = net._check_vertex_values(g)
     w = _check_form(net, w)
     return 0.5 * (g[net.tails] + g[net.heads]) * w
-
-
-@dataclass(frozen=True)
-class FormSupport:
-    """Edges where a form is nonzero, and their endpoints."""
-
-    edges: tuple[int, ...]
-    vertices: tuple[int, ...]
-
-
-def support(net: ResistanceNetwork, w) -> FormSupport:
-    """Support of a form: edges with ``|w_e| > 0`` plus their endpoints."""
-    w = _check_form(net, w)
-    edges = np.nonzero(np.abs(w) > 0.0)[0]
-    verts = np.unique(np.concatenate([net.tails[edges], net.heads[edges]]))
-    return FormSupport(tuple(int(e) for e in edges), tuple(int(v) for v in verts))
 
 
 def divergence(net: ResistanceNetwork, w) -> np.ndarray:
@@ -254,7 +233,7 @@ def cycle_field(
     """
     basis = cycle_basis(net) if basis is None else basis
     if not 0 <= index < len(basis.cycles):
-        raise IndexError(
+        raise ValueError(
             f"cycle index {index} out of range; network has {len(basis.cycles)} independent cycles"
         )
     w = np.zeros(net.edge_count, dtype=np.float64)
@@ -284,28 +263,6 @@ def field_from_spec(net: ResistanceNetwork, spec: str) -> np.ndarray:
             return cycle_field(net, int(parts[1]), float(parts[2]))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed field spec {spec!r}: {exc}") from exc
-    except IndexError as exc:
-        raise ValueError(f"field spec {spec!r}: {exc}") from exc
     raise ValueError(
         f"unknown field spec {spec!r}; expected zero | constant:<t> | random:<seed> | cycle:<i>:<t>"
     )
-
-
-def edgeform_to_dict(net: ResistanceNetwork, w) -> dict:
-    """Edge form as JSON: `[re, im]` pairs in the network's edge order."""
-    w = np.asarray(_check_form(net, w), dtype=np.complex128)
-    return {
-        "orientation": "i<j",
-        "values": [[float(v.real), float(v.imag)] for v in w],
-    }
-
-
-def edgeform_from_dict(net: ResistanceNetwork, data: Mapping) -> np.ndarray:
-    """Inverse of :func:`edgeform_to_dict`; returns a real array when possible."""
-    if data.get("orientation", "i<j") != "i<j":
-        raise NetworkError(f"unsupported edge form orientation {data.get('orientation')!r}")
-    values = data.get("values")
-    if values is None or len(values) != net.edge_count:
-        raise NetworkError("edge form values do not match the network's edge count")
-    out = np.asarray([complex(v[0], v[1]) for v in values])
-    return out.real if np.all(out.imag == 0.0) else out

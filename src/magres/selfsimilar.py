@@ -19,7 +19,7 @@ exactly compatible; values convert to float only when the network is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -31,7 +31,6 @@ from .network import (
     CellPartition,
     conductance_deviation,
     network_from_dict,
-    network_to_dict,
     trace_to,
 )
 
@@ -44,13 +43,10 @@ __all__ = [
     "CompatibilityReport",
     "refine",
     "verify_compatibility",
-    "cell_measures",
     "vertex_measure",
     "cell_partition",
     "embed_indices",
-    "resistance_ball",
     "parse_measure_spec",
-    "structure_to_dict",
     "structure_from_dict",
     "load_structure",
     "bundled_structure",
@@ -79,12 +75,6 @@ def _rational(value):
     if isinstance(value, float):
         return value
     raise StructureError(f"numeric value expected, got {value!r}")
-
-
-def _scalar_to_json(value):
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value}"
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -347,18 +337,23 @@ class CompatibilityReport:
     passed: bool
 
 
-def verify_compatibility(s: PCFStructure, n: int, tol: float = 1e-10) -> CompatibilityReport:
+def verify_compatibility(
+    coarse: Refinement, fine: Refinement, tol: float = 1e-10
+) -> CompatibilityReport:
     """Check that the level-``n + 1`` form traces back to the level-``n`` form.
 
-    Conductances of ``trace_to(refine(s, n + 1), V_n)`` are compared against
-    ``refine(s, n)`` edge by edge (via stable vertex names); the report
-    carries the largest relative deviation.
+    ``coarse`` and ``fine`` are the level-``n`` and level-``n + 1``
+    refinements of one structure.  Conductances of ``trace_to(fine.net,
+    V_n)`` are compared against ``coarse.net`` edge by edge (via stable
+    vertex names); the report carries the largest relative deviation.
     """
-    coarse = refine(s, n)
-    fine = refine(s, n + 1)
+    if fine.structure is not coarse.structure or fine.level != coarse.level + 1:
+        raise StructureError(
+            "compatibility needs refinements of one structure at levels n and n + 1"
+        )
     traced = trace_to(fine.net, embed_indices(fine, coarse))
     worst = conductance_deviation(traced, coarse.net)
-    return CompatibilityReport(level=n, max_deviation=worst, tol=tol, passed=worst <= tol)
+    return CompatibilityReport(level=coarse.level, max_deviation=worst, tol=tol, passed=worst <= tol)
 
 
 def parse_measure_spec(spec, map_count: int) -> list:
@@ -390,29 +385,6 @@ def parse_measure_spec(spec, map_count: int) -> list:
     return weights
 
 
-def _resolved_weights(s: PCFStructure, weights) -> list:
-    if weights is None:
-        return [m.mu for m in s.maps]
-    resolved = parse_measure_spec(weights, s.map_count)
-    return [m.mu for m in s.maps] if resolved is None else resolved
-
-
-def cell_measures(s: PCFStructure, n: int, weights=None) -> dict[tuple[int, ...], float]:
-    """Product (Bernoulli-type) measure of every length-``n`` cell."""
-    ws = _resolved_weights(s, weights)
-    out: dict[tuple[int, ...], float] = {}
-
-    def grow(word: tuple[int, ...], acc):
-        if len(word) == n:
-            out[word] = float(acc)
-            return
-        for i, w in enumerate(ws):
-            grow(word + (i,), acc * w)
-
-    grow((), Fraction(1) if all(isinstance(w, Fraction) for w in ws) else 1.0)
-    return out
-
-
 def vertex_measure(ref: Refinement, weights=None) -> VertexMeasure:
     """Vertex masses: each cell splits its measure equally over its vertices.
 
@@ -422,7 +394,9 @@ def vertex_measure(ref: Refinement, weights=None) -> VertexMeasure:
     weights (up to one final float rounding per vertex).
     """
     s = ref.structure
-    ws = _resolved_weights(s, weights)
+    ws = parse_measure_spec(weights, s.map_count)
+    if ws is None:
+        ws = [m.mu for m in s.maps]
     exact = all(isinstance(w, Fraction) for w in ws)
     acc = [Fraction(0) if exact else 0.0] * ref.net.vertex_count
     for word, verts in ref.cell_vertices.items():
@@ -436,45 +410,10 @@ def vertex_measure(ref: Refinement, weights=None) -> VertexMeasure:
     return VertexMeasure(mass=mass, total=float(sum(acc)))
 
 
-def cell_partition(ref: Refinement, depth: int | None = None) -> CellPartition:
-    """Edge partition by cells, optionally grouped to a coarser word depth."""
-    depth = ref.level if depth is None else int(depth)
-    if not 0 <= depth <= ref.level:
-        raise StructureError(f"partition depth {depth} outside [0, {ref.level}]")
-    grouped: dict[str, list[int]] = {}
-    for word, edge_ids in ref.cells.items():
-        grouped.setdefault(word_id(word[:depth]), []).extend(edge_ids)
-    return CellPartition({k: tuple(sorted(v)) for k, v in sorted(grouped.items())})
-
-
-def resistance_ball(resistances: np.ndarray, center: int, radius: float) -> np.ndarray:
-    """Closed metric ball ``{y : R(center, y) <= radius}`` as vertex indices."""
-    if radius < 0.0:
-        raise ValueError("ball radius must be non-negative")
-    return np.nonzero(resistances[int(center)] <= radius)[0]
-
-
-def structure_to_dict(s: PCFStructure) -> dict:
-    """Structure as a JSON-ready dict (rationals rendered as 'p/q' strings)."""
-    base = network_to_dict(s.base)
-    base["edges"] = [
-        [int(i), int(j), _scalar_to_json(c)]
-        for (i, j, _), c in zip(base["edges"], s.base_conductances)
-    ]
-    out: dict = {"base": base}
-    if s.name:
-        out["name"] = s.name
-    out["maps"] = [
-        {
-            "r": _scalar_to_json(m.r),
-            "mu": _scalar_to_json(m.mu),
-            "labels": list(m.vertex_labels),
-        }
-        for m in s.maps
-    ]
-    if s.identify:
-        out["identify"] = [list(pair) for pair in s.identify]
-    return out
+def cell_partition(ref: Refinement) -> CellPartition:
+    """Edge partition by the level-``n`` cells of a refinement."""
+    cells = {word_id(word): tuple(sorted(ids)) for word, ids in ref.cells.items()}
+    return CellPartition(dict(sorted(cells.items())))
 
 
 def structure_from_dict(data: Mapping, name: str = "") -> PCFStructure:

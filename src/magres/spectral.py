@@ -136,13 +136,8 @@ def renormalization_base(s: PCFStructure) -> float:
 
 
 def _resolve_boundary(ref: Refinement, boundary):
-    if boundary == "neumann":
-        return "neumann"
-    if boundary == "dirichlet":
-        if len(ref.boundary) == ref.net.vertex_count:
-            raise ValueError("dirichlet boundary set leaves no free vertex")
-        return ("dirichlet", ref.boundary)
-    return boundary
+    """Spell ``"dirichlet"`` out as the pair pinning the structure's boundary set."""
+    return ("dirichlet", ref.boundary) if boundary == "dirichlet" else boundary
 
 
 def spectrum(
@@ -310,13 +305,10 @@ def convergence_table(
     return ConvergenceReport(levels=levels, table=table, diffs=diffs, metadata=metadata)
 
 
-def compare_spectra(a, b, k: int | None = None) -> float:
-    """Largest absolute difference between the first ``k`` eigenvalues."""
-    wa = a.eigenvalues if isinstance(a, SpectrumReport) else np.asarray(a, dtype=np.float64)
-    wb = b.eigenvalues if isinstance(b, SpectrumReport) else np.asarray(b, dtype=np.float64)
-    if k is None:
-        k = min(wa.size, wb.size)
-        if wa.size != wb.size:
-            raise ValueError(f"spectra have different sizes ({wa.size} vs {wb.size})")
-    k = min(int(k), wa.size, wb.size)
-    return float(np.max(np.abs(wa[:k] - wb[:k]))) if k else 0.0
+def compare_spectra(a, b) -> float:
+    """Largest absolute difference between two spectra of equal size."""
+    wa = np.asarray(a, dtype=np.float64)
+    wb = np.asarray(b, dtype=np.float64)
+    if wa.size != wb.size:
+        raise ValueError(f"spectra have different sizes ({wa.size} vs {wb.size})")
+    return float(np.max(np.abs(wa - wb))) if wa.size else 0.0

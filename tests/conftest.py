@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,12 @@ def random_connected_network(rng: np.random.Generator, n: int) -> ResistanceNetw
             continue
         edges.setdefault((min(u, v), max(u, v)), float(rng.uniform(0.1, 10.0)))
     return ResistanceNetwork.from_edges(n, [(u, v, c) for (u, v), c in edges.items()])
+
+
+def structure_data(name: str) -> dict:
+    """Parsed JSON of the bundled structure file ``magres.structures/<name>.json``."""
+    text = files("magres.structures").joinpath(f"{name}.json").read_text(encoding="utf-8")
+    return json.loads(text)
 
 
 @pytest.fixture(scope="session")

@@ -94,8 +94,9 @@ def test_02_gasket_renormalization_fixed_point():
         3, [(0, 1, 0.6), (0, 2, 0.6), (1, 2, 0.6)]
     )
     assert conductance_deviation(traced, expected) <= 1e-12
-    for n in range(4):
-        assert verify_compatibility(s, n, tol=1e-10).passed
+    refs = [refine(s, n) for n in range(5)]
+    for coarse, fine in zip(refs, refs[1:]):
+        assert verify_compatibility(coarse, fine, tol=1e-10).passed
     assert time.perf_counter() - start < 2.0
 
 
@@ -200,14 +201,14 @@ def test_06_flux_quantization(gasket3):
             m = int(rng.integers(-2, 3))
             field = field + TWO_PI * m * unit(int(j))
         model = MagneticModel(kind="peierls", field=np.real(field))
-        rep = zero_mode_test(net, model, mu, basis=basis)
+        rep = zero_mode_test(net, model, mu)
         assert rep.fluxes_integral
         assert rep.ground_energy < 1e-9
         assert rep.modulus_spread < 1e-6
         assert rep.zero_mode and rep.consistent
 
     half = MagneticModel(kind="peierls", field=np.pi * unit(0))
-    rep = zero_mode_test(net, half, mu, basis=basis)
+    rep = zero_mode_test(net, half, mu)
     flux = cycle_fluxes(net, half.field, basis)
     assert abs(flux[0] - np.pi) < 1e-9
     assert not rep.fluxes_integral

@@ -14,8 +14,9 @@ import pytest
 
 import magres.cli
 import magres.spectral
-from magres import bundled_structure, spectrum, structure_to_dict
+from magres import bundled_structure, spectrum
 from magres.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
+from conftest import structure_data
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,7 +69,7 @@ def test_malformed_structure_file_exits_2(tmp_path, capsys):
 
 
 def test_structure_file_with_out_of_range_edge_exits_2(tmp_path, capsys):
-    data = structure_to_dict(bundled_structure("gasket"))
+    data = structure_data("gasket")
     data["base"]["edges"][-1] = [1, 5, 1]
     bad = tmp_path / "bad-edge.json"
     bad.write_text(json.dumps(data), encoding="utf-8")
@@ -88,13 +89,20 @@ def test_negative_level_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spectrum", "--structure", "interval", "--level", "0", "--model", "peierls"],
-        ["gauge-check", "--structure", "interval", "--level", "0", "--model", "peierls"],
-        ["converge", "--structure", "interval", "--levels", "0,1", "--k", "1", "--model", "peierls"],
+        ["spectrum", "--structure", "interval", "--level", "0", "--model", "peierls",
+         "--boundary", "dirichlet"],
+        ["gauge-check", "--structure", "interval", "--level", "0", "--model", "peierls",
+         "--boundary", "dirichlet"],
+        ["converge", "--structure", "interval", "--levels", "0,1", "--k", "1", "--model", "peierls",
+         "--boundary", "dirichlet"],
+        ["solve", "--structure", "interval", "--level", "0", "--model", "peierls",
+         "--dirichlet", "boundary", "--rhs", "delta:0"],
+        ["solve", "--structure", "gasket", "--level", "1", "--model", "peierls",
+         "--dirichlet", "0,1,2,3,4,5", "--rhs", "delta:0"],
     ],
 )
 def test_dirichlet_without_free_vertex_exits_2(argv, capsys):
-    assert main(argv + ["--boundary", "dirichlet"]) == EXIT_INPUT
+    assert main(argv) == EXIT_INPUT
     assert "leaves no free vertex" in capsys.readouterr().err
 
 
@@ -113,6 +121,8 @@ def test_dirichlet_without_free_vertex_exits_2(argv, capsys):
         ["audit", "--structure", "gasket", "--level", "1", "--balls", "0"],
         ["audit", "--structure", "gasket", "--level", "1", "--poincare-trials", "-1"],
         ["audit", "--structure", "gasket", "--level", "1", "--poincare-trials", "0"],
+        ["audit", "--structure", "gasket", "--level", "1", "--trials", "0"],
+        ["audit", "--structure", "gasket", "--level", "1", "--trials", "-1"],
     ],
 )
 def test_nonpositive_k_or_count_exits_2(argv, capsys):
@@ -122,9 +132,34 @@ def test_nonpositive_k_or_count_exits_2(argv, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hodge", "--structure", "gasket", "--level", "1", "--tol", "nan"],
+        ["hodge", "--structure", "gasket", "--level", "1", "--tol=-1e-9"],
+        ["audit", "--structure", "gasket", "--level", "1", "--tol", "inf"],
+        ["build", "--structure", "gasket", "--level", "1", "--tol", "nan"],
+        ["flux-sweep", "--structure", "circle", "--level", "3", "--model", "peierls",
+         "--grid", "0:1:2", "--tol", "nan"],
+        ["gauge-check", "--structure", "gasket", "--level", "1", "--model", "peierls",
+         "--tol", "inf"],
+        ["trace-check", "--structure", "gasket", "--level", "1", "--compat-tol", "nan"],
+        ["zero-mode", "--structure", "gasket", "--level", "1", "--spread-tol", "nan"],
+        ["zero-mode", "--structure", "gasket", "--level", "1", "--flux-tol", "-1"],
+        ["solve", "--structure", "gasket", "--level", "1", "--model", "peierls",
+         "--dirichlet", "0", "--rhs", "delta:1", "--tol=-inf"],
+    ],
+)
+def test_bad_tolerance_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "finite number >= 0" in capsys.readouterr().err
+
+
 def test_structure_from_file_path(tmp_path, capsys):
     copied = tmp_path / "mygasket.json"
-    copied.write_text(json.dumps(structure_to_dict(bundled_structure("gasket"))), encoding="utf-8")
+    copied.write_text(json.dumps(structure_data("gasket")), encoding="utf-8")
     code, doc = run_json(capsys, ["spectrum", "--structure", str(copied), "--level", "1", "--model", "peierls"])
     assert code == EXIT_PASS
     assert doc["report"]["metadata"]["vertices"] == 6
@@ -306,13 +341,28 @@ def test_flux_sweep_csv(capsys):
     assert row[4] == "0.0"
 
 
+def test_flux_sweep_negative_grid_start(capsys):
+    # argparse reads "--grid -3:3:5" as an option, so a negative start needs "="
+    code, doc = run_json(
+        capsys,
+        ["flux-sweep", "--structure", "circle", "--level", "3", "--model", "peierls",
+         "--grid=-3.14159:3.14159:9"],
+    )
+    assert code == EXIT_PASS
+    assert doc["report"]["fluxes"][0] == -3.14159
+    assert doc["report"]["checks"]["symmetric_pairs"] == 4
+    assert doc["report"]["checks"]["max_pair_deviation"] <= doc["report"]["checks"]["tol"]
+
+
 def test_flux_sweep_bad_cycle_exits_2(capsys):
     code = main(
         ["flux-sweep", "--structure", "gasket", "--level", "1", "--model", "peierls",
          "--cycle", "99", "--grid", "0:1:2"]
     )
     assert code == EXIT_INPUT
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.count("cycle index 99") == 1
+    assert "out of range" in err
 
 
 def test_flux_sweep_bad_grid_exits_2(capsys):
@@ -394,9 +444,10 @@ def test_audit_passes_on_gasket(capsys):
 
 
 def test_audit_small_margin_exits_2(capsys):
-    code = main(["audit", "--structure", "gasket", "--level", "1", "--M", "4"])
-    assert code == EXIT_INPUT
-    assert "20/3" in capsys.readouterr().err
+    for margin in ("4", "nan"):
+        code = main(["audit", "--structure", "gasket", "--level", "1", "--M", margin])
+        assert code == EXIT_INPUT
+        assert "20/3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ def gasket2(gasket):
 
 
 def test_dyadic_radii_halve():
-    assert dyadic_radii(1.0, 3) == [1.0, 0.5, 0.25]
-    assert dyadic_radii(2.0, 1) == [2.0]
+    assert dyadic_radii(1.0) == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
+    assert dyadic_radii(2.0)[:2] == [2.0, 1.0]
 
 
 def test_dyadic_radii_rejects_bad_diameter():
@@ -246,6 +246,8 @@ def test_fa_bound_rejects_bad_M():
     net = triangle()
     with pytest.raises(ValueError):
         fa_bound_audit(net, np.ones(3), np.ones(3), M=0.0)
+    with pytest.raises(ValueError):
+        fa_bound_audit(net, np.ones(3), np.ones(3), M=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +261,8 @@ def test_klmn_rejects_small_margin_parameter(gasket2):
         klmn_audit(net, mu, a, M=4.0)
     with pytest.raises(ValueError):
         klmn_audit(net, mu, a, M=20.0 / 3.0)
+    with pytest.raises(ValueError, match="20/3"):
+        klmn_audit(net, mu, a, M=float("nan"))
 
 
 def test_klmn_epsilon_and_constant(gasket2):

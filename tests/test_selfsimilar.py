@@ -13,7 +13,6 @@ from magres import (
     PCFStructure,
     ResistanceNetwork,
     StructureError,
-    cell_measures,
     cell_partition,
     effective_resistance,
     embed_indices,
@@ -21,14 +20,12 @@ from magres import (
     load_structure,
     parse_measure_spec,
     refine,
-    resistance_ball,
-    resistance_matrix,
     structure_from_dict,
-    structure_to_dict,
     trace_to,
     verify_compatibility,
     vertex_measure,
 )
+from conftest import structure_data
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +163,7 @@ def test_cells_partition_edges(gasket):
     ref = refine(gasket, 2)
     part = cell_partition(ref)
     part.validate(ref.net)
-    assert len(part.cells) == 9
-    coarse = cell_partition(ref, depth=1)
-    coarse.validate(ref.net)
-    assert len(coarse.cells) == 3
+    assert list(part.cells) == [f"{i}{j}" for i in range(3) for j in range(3)]
 
 
 def test_negative_level_rejected(gasket):
@@ -200,8 +194,19 @@ def load_helper(name):
 @pytest.mark.parametrize("name", ["interval", "circle", "gasket"])
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_compatibility_all_bundled(name, level):
-    rep = verify_compatibility(load_helper(name), level, tol=1e-10)
+    s = load_helper(name)
+    rep = verify_compatibility(refine(s, level), refine(s, level + 1), tol=1e-10)
+    assert rep.level == level
     assert rep.passed, f"{name} level {level}: deviation {rep.max_deviation}"
+
+
+def test_compatibility_needs_consecutive_levels_of_one_structure(gasket, interval):
+    with pytest.raises(StructureError):
+        verify_compatibility(refine(gasket, 1), refine(gasket, 3))
+    with pytest.raises(StructureError):
+        verify_compatibility(refine(gasket, 2), refine(gasket, 1))
+    with pytest.raises(StructureError):
+        verify_compatibility(refine(interval, 1), refine(load_helper("interval"), 2))
 
 
 def test_interval_effective_resistance_is_length(interval):
@@ -265,14 +270,6 @@ def test_vertex_measure_total_always_one(gasket):
         assert mu.total == pytest.approx(1.0, abs=1e-14)
 
 
-def test_cell_measures_multiply(gasket):
-    weights = parse_measure_spec("1/2,1/4,1/4", 3)
-    masses = cell_measures(gasket, 2, weights)
-    assert masses[(0, 0)] == pytest.approx(0.25)
-    assert masses[(1, 2)] == pytest.approx(1 / 16)
-    assert sum(masses.values()) == pytest.approx(1.0, abs=1e-15)
-
-
 def test_custom_weights_shift_vertex_measure(interval):
     ref = refine(interval, 1)
     mu = vertex_measure(ref, parse_measure_spec("3/4,1/4", 2))
@@ -302,41 +299,31 @@ def test_parse_measure_spec_variants(gasket):
 
 
 # ---------------------------------------------------------------------------
-# resistance balls
-
-
-def test_resistance_ball_contains_center_and_grows():
-    net = ResistanceNetwork.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    R = resistance_matrix(net)
-    assert list(resistance_ball(R, 0, 0.0)) == [0]
-    assert list(resistance_ball(R, 0, 1.0)) == [0, 1]
-    assert list(resistance_ball(R, 0, 2.0)) == [0, 1, 2]
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
-def test_structure_roundtrip_preserves_rationals(gasket):
-    data = structure_to_dict(gasket)
+def test_structure_roundtrip_preserves_rationals():
+    data = structure_data("gasket")
     assert data["maps"][0]["r"] == "3/5"
     assert data["maps"][0]["mu"] == "1/3"
     back = structure_from_dict(data)
     assert back.maps[0].r == Fraction(3, 5)
+    assert back.maps[0].mu == Fraction(1, 3)
+    assert back.base_conductances == (Fraction(1),) * 3
     assert back.is_rational()
-    assert structure_to_dict(back) == data
 
 
-def test_circle_roundtrip_keeps_identification(circle):
-    data = structure_to_dict(circle)
+def test_circle_roundtrip_keeps_identification():
+    data = structure_data("circle")
     assert data["identify"] == [["L", "R"]]
     back = structure_from_dict(data)
+    assert back.identify == (("L", "R"),)
     assert refine(back, 3).net.vertex_count == 8
 
 
-def test_load_structure_named_from_stem(tmp_path, interval):
-    data = structure_to_dict(interval)
-    data.pop("name", None)
+def test_load_structure_named_from_stem(tmp_path):
+    data = structure_data("interval")
+    assert "name" not in data
     p = tmp_path / "myinterval.json"
     p.write_text(json.dumps(data), encoding="utf-8")
     s = load_structure(p)
@@ -344,19 +331,20 @@ def test_load_structure_named_from_stem(tmp_path, interval):
     assert refine(s, 2).net.vertex_count == 5
 
 
-def test_load_structure_embedded_name_wins(tmp_path, interval):
+def test_load_structure_embedded_name_wins(tmp_path):
+    data = dict(structure_data("interval"), name="interval")
     p = tmp_path / "other.json"
-    p.write_text(json.dumps(structure_to_dict(interval)), encoding="utf-8")
+    p.write_text(json.dumps(data), encoding="utf-8")
     assert load_structure(p).name == "interval"
 
 
-def test_structure_from_dict_rejects_malformed(gasket):
+def test_structure_from_dict_rejects_malformed():
     with pytest.raises(StructureError):
         structure_from_dict({"maps": []})
     with pytest.raises(StructureError):
         structure_from_dict({"base": {"vertices": 2, "labels": ["L", "R"], "edges": [[0, 1, 1]]},
                              "maps": [{"r": "1/2"}]})
-    bad_edge = structure_to_dict(gasket)
+    bad_edge = structure_data("gasket")
     bad_edge["base"]["edges"][-1] = [1, 5, 1]
     with pytest.raises(StructureError, match="out of range"):
         structure_from_dict(bad_edge)
