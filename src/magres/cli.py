@@ -278,9 +278,12 @@ def _parse_rhs(text: str, n: int) -> np.ndarray:
         return rhs
     if parts[0] == "constant" and len(parts) == 2:
         try:
-            return np.full(n, float(parts[1]))
+            value = float(parts[1])
         except ValueError as exc:
             raise InputError(f"rhs {text!r}: {exc}") from exc
+        if not np.isfinite(value):
+            raise InputError(f"rhs {text!r}: value must be finite")
+        return np.full(n, value)
     if Path(text).is_file():
         try:
             data = json.loads(Path(text).read_text(encoding="utf-8"))
@@ -293,6 +296,8 @@ def _parse_rhs(text: str, n: int) -> np.ndarray:
         except (TypeError, ValueError, IndexError) as exc:
             raise InputError(f"{text}: bad value: {exc}") from exc
         arr = np.asarray(vals, dtype=np.complex128)
+        if not np.all(np.isfinite(arr)):
+            raise InputError(f"{text}: values must be finite")
         return arr.real if np.all(arr.imag == 0.0) else arr
     raise InputError(
         f"rhs {text!r} is neither delta:<i>, constant:<v>, nor an existing JSON file"

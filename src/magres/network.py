@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
@@ -45,6 +46,10 @@ __all__ = [
 #: Relative magnitude below which a Schur-complement entry is treated as an
 #: absent edge.
 TRACE_ZERO_TOL = 1e-12
+
+#: Kept vertices whose columns ``trace_to`` solves against the interior block
+#: at once; bounds its dense right-hand side to ``interior x TRACE_BLOCK``.
+TRACE_BLOCK = 128
 
 
 class NetworkError(ValueError):
@@ -166,14 +171,44 @@ def energy(net: ResistanceNetwork, f, g=None):
 
 def laplacian(net: ResistanceNetwork) -> np.ndarray:
     """Dense graph Laplacian ``L`` with ``f^T L f = E(f)`` for real ``f``."""
+    return _sparse_laplacian(net).toarray()
+
+
+def _sparse_laplacian(net: ResistanceNetwork) -> scipy.sparse.csr_matrix:
+    """Graph Laplacian in CSR form, with every diagonal entry stored.
+
+    Each stored entry occurs once in the COO data, so no duplicates are
+    summed; the degrees accumulate tail edges, then head edges, in edge order.
+    """
     n = net.vertex_count
-    L = np.zeros((n, n), dtype=np.float64)
     c = net.conductances
-    np.add.at(L, (net.tails, net.tails), c)
-    np.add.at(L, (net.heads, net.heads), c)
-    np.add.at(L, (net.tails, net.heads), -c)
-    np.add.at(L, (net.heads, net.tails), -c)
-    return L
+    degree = np.zeros(n, dtype=np.float64)
+    np.add.at(degree, net.tails, c)
+    np.add.at(degree, net.heads, c)
+    diag = np.arange(n)
+    rows = np.concatenate([diag, net.tails, net.heads])
+    cols = np.concatenate([diag, net.heads, net.tails])
+    vals = np.concatenate([degree, -c, -c])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _interior_solver(block, message: str):
+    """Sparse LU of an interior block; returns ``solve(rhs)``.
+
+    A complex right-hand side is split into two real solves.  An exactly
+    singular block raises :class:`NetworkError` with ``message``.
+    """
+    try:
+        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(block))
+    except RuntimeError as exc:
+        raise NetworkError(message) from exc
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(rhs):
+            return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
+        return lu.solve(rhs)
+
+    return solve
 
 
 def _partition_indices(net: ResistanceNetwork, keep: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -194,28 +229,34 @@ def trace_to(net: ResistanceNetwork, keep: Sequence[int]) -> ResistanceNetwork:
     The returned network's vertex ``k`` corresponds to ``sorted(set(keep))[k]``
     in the parent.  Off-diagonal Schur entries whose magnitude falls below
     ``TRACE_ZERO_TOL`` relative to the largest one are dropped as absent edges.
+    The interior block is factored by sparse LU and ``L_ki L_ii^{-1} L_ik`` is
+    formed ``TRACE_BLOCK`` columns at a time, so the Schur complement stays
+    sparse and no dense matrix of the network's size is built.
     """
     keep, interior = _partition_indices(net, keep)
     labels = None if net.labels is None else tuple(net.labels[v] for v in keep)
     if interior.size == 0:
         return net
-    L = laplacian(net)
-    L_kk = L[np.ix_(keep, keep)]
-    L_ki = L[np.ix_(keep, interior)]
-    L_ii = L[np.ix_(interior, interior)]
-    try:
-        factor = scipy.linalg.cho_factor(L_ii, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NetworkError("interior block is singular; eliminated set disconnects") from exc
-    S = L_kk - L_ki @ scipy.linalg.cho_solve(factor, L_ki.T, check_finite=False)
-    S = 0.5 * (S + S.T)
-    iu, ju = np.triu_indices(keep.size, k=1)
-    cond = -S[iu, ju]
+    L = _sparse_laplacian(net)
+    L_k = L[keep]
+    L_kk = L_k[:, keep]
+    L_ki = L_k[:, interior]
+    L_ik = L_ki.T  # CSC, so column blocks slice cheaply
+    solve = _interior_solver(
+        L[interior][:, interior], "interior block is singular; eliminated set disconnects"
+    )
+    blocks = []
+    for start in range(0, keep.size, TRACE_BLOCK):
+        rhs = L_ik[:, start:start + TRACE_BLOCK].toarray()
+        blocks.append(scipy.sparse.csc_matrix(L_ki @ solve(rhs)))
+    S = L_kk - scipy.sparse.hstack(blocks)
+    S = scipy.sparse.triu(0.5 * (S + S.T), k=1).tocoo()
+    cond = -S.data
     scale = float(np.max(np.abs(cond))) if cond.size else 0.0
     present = np.abs(cond) > TRACE_ZERO_TOL * scale
     if np.any(cond[present] < 0.0):
         raise NetworkError("Schur complement produced a significantly negative conductance")
-    edges = zip(iu[present], ju[present], cond[present])
+    edges = zip(S.row[present], S.col[present], cond[present])
     return ResistanceNetwork.from_edges(keep.size, edges, labels)
 
 
@@ -243,25 +284,12 @@ def harmonic_extension(
     u[boundary] = values
     if interior.size == 0:
         return u
-    L = laplacian(net)
-    L_ii = L[np.ix_(interior, interior)]
-    rhs = -(L[np.ix_(interior, keep)] @ v_sorted)
-    try:
-        factor = scipy.linalg.cho_factor(L_ii, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NetworkError("interior block is singular; boundary set disconnects") from exc
-    u[interior] = _cho_solve(factor, rhs)
+    L_i = _sparse_laplacian(net)[interior]
+    solve = _interior_solver(
+        L_i[:, interior], "interior block is singular; boundary set disconnects"
+    )
+    u[interior] = solve(-(L_i[:, keep] @ v_sorted))
     return u
-
-
-def _cho_solve(factor, rhs) -> np.ndarray:
-    """Solve with a real Cholesky factor; complex data splits into two real solves."""
-    if np.iscomplexobj(rhs):
-        return (
-            scipy.linalg.cho_solve(factor, rhs.real, check_finite=False)
-            + 1j * scipy.linalg.cho_solve(factor, rhs.imag, check_finite=False)
-        )
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
 def effective_resistance(net: ResistanceNetwork, x: int, y: int) -> float:

@@ -19,9 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .network import NetworkError, ResistanceNetwork, _cho_solve, laplacian
+from .network import NetworkError, ResistanceNetwork, _interior_solver, _sparse_laplacian
 
 __all__ = [
     "HodgeDecomposition",
@@ -112,9 +111,10 @@ def hodge_decompose(net: ResistanceNetwork, w) -> HodgeDecomposition:
     dtype = np.complex128 if np.iscomplexobj(w) else np.float64
     lam = np.zeros(n, dtype=dtype)
     if net.edge_count and n > 1:
-        d = divergence(net, w)
-        L = laplacian(net)[1:, 1:]
-        lam[1:] = _cho_solve(scipy.linalg.cho_factor(L, check_finite=False), d[1:])
+        solve = _interior_solver(
+            _sparse_laplacian(net)[1:, 1:], "grounded Laplacian is singular; network disconnects"
+        )
+        lam[1:] = solve(divergence(net, w)[1:])
     exact = derivation(net, lam)
     coulomb = w - exact
     e_sq = inner(net, exact)
@@ -255,14 +255,21 @@ def field_from_spec(net: ResistanceNetwork, spec: str) -> np.ndarray:
         if parts[0] == "zero" and len(parts) == 1:
             return np.zeros(net.edge_count, dtype=np.float64)
         if parts[0] == "constant" and len(parts) == 2:
-            return np.full(net.edge_count, float(parts[1]), dtype=np.float64)
+            return np.full(net.edge_count, _finite(parts[1]), dtype=np.float64)
         if parts[0] == "random" and len(parts) == 2:
             rng = np.random.default_rng(int(parts[1]))
             return rng.standard_normal(net.edge_count)
         if parts[0] == "cycle" and len(parts) == 3:
-            return cycle_field(net, int(parts[1]), float(parts[2]))
+            return cycle_field(net, int(parts[1]), _finite(parts[2]))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed field spec {spec!r}: {exc}") from exc
     raise ValueError(
         f"unknown field spec {spec!r}; expected zero | constant:<t> | random:<seed> | cycle:<i>:<t>"
     )
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value

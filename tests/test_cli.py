@@ -596,6 +596,39 @@ def test_solve_bad_rhs_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--structure", "gasket", "--level", "1", "--model", "peierls",
+         "--dirichlet", "0", "--rhs", "constant:nan"],
+        ["solve", "--structure", "gasket", "--level", "1", "--model", "peierls",
+         "--dirichlet", "0", "--rhs", "constant:inf"],
+        ["solve", "--structure", "gasket", "--level", "1", "--model", "peierls",
+         "--dirichlet", "0", "--rhs", "constant:-inf"],
+        ["hodge", "--structure", "gasket", "--level", "1", "--field", "constant:nan"],
+        ["hodge", "--structure", "gasket", "--level", "1", "--field", "cycle:0:inf"],
+        ["spectrum", "--structure", "gasket", "--level", "1", "--model", "peierls",
+         "--field", "constant:nan"],
+        ["zero-mode", "--structure", "gasket", "--level", "1", "--field", "cycle:0:nan"],
+    ],
+)
+def test_non_finite_input_exits_2(argv, capsys):
+    assert main(argv) == EXIT_INPUT
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "[1.0, NaN]"])
+def test_solve_non_finite_rhs_file_exits_2(value, tmp_path, capsys):
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(f"[0.0, {value}, 0.0]", encoding="utf-8")
+    code = main(
+        ["solve", "--structure", "interval", "--level", "1", "--model", "peierls",
+         "--dirichlet", "0,2", "--rhs", str(rhs)]
+    )
+    assert code == EXIT_INPUT
+    assert "finite" in capsys.readouterr().err
+
+
 def test_solve_empty_pinned_set_exits_2(capsys):
     code = main(
         ["solve", "--structure", "interval", "--level", "1", "--model", "peierls",

@@ -217,7 +217,9 @@ def test_field_from_spec_zero_constant_random_cycle(gasket):
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "nonsense", "constant", "constant:x", "random:", "cycle:0", "cycle:a:1", "cycle:99:1"]
+    "bad",
+    ["", "nonsense", "constant", "constant:x", "random:", "cycle:0", "cycle:a:1", "cycle:99:1",
+     "constant:nan", "constant:inf", "constant:-inf", "cycle:0:nan", "cycle:0:inf"],
 )
 def test_field_from_spec_rejects_malformed(bad, gasket):
     net = refine(gasket, 1).net
