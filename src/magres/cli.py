@@ -54,6 +54,7 @@ from .selfsimilar import (
 )
 from .spectral import (
     SpectralError,
+    _require_dense,
     _resolve_boundary,
     compare_spectra,
     convergence_table,
@@ -107,8 +108,8 @@ def _dump_json(obj: dict) -> str:
 
 
 def _export_matrix(path: str, matrix) -> None:
-    """Write a dense matrix as JSON: row-major [re, im] pairs."""
-    m = np.asarray(matrix, dtype=np.complex128)
+    """Write a sparse matrix densely as JSON: row-major [re, im] pairs."""
+    m = matrix.toarray()
     doc = {"rows": m.shape[0], "cols": m.shape[1], "values": m.reshape(-1)}
     Path(path).write_text(_dump_json(_py(doc)), encoding="utf-8")
 
@@ -496,6 +497,7 @@ def cmd_gauge_check(args) -> int:
         args.field = f"random:{args.seed}"
     s, ref, mu = _prepare(args)
     base_field = field_from_spec(ref.net, args.field)
+    _require_dense(ref)  # after the field, so bad input is reported first
     bnd = _resolve_boundary(ref, args.boundary)
     rng = np.random.default_rng(int(args.seed))
     lams = [rng.standard_normal(ref.net.vertex_count) for _ in range(int(args.count))]
@@ -631,8 +633,8 @@ def cmd_hodge(args) -> int:
 
 def cmd_zero_mode(args) -> int:
     s, ref, mu = _prepare(args)
-    field = field_from_spec(ref.net, args.field)
-    model = MagneticModel(kind="peierls", field=field)
+    model = MagneticModel(kind="peierls", field=field_from_spec(ref.net, args.field))
+    _require_dense(ref)
     rep = zero_mode_test(
         ref.net,
         model,

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
-from .network import NetworkError, ResistanceNetwork
+from .network import NetworkError, ResistanceNetwork, _edge_matrix, _interior_solver
 from .oneforms import cycle_fluxes, derivation, inner, module_action
 from .selfsimilar import VertexMeasure
 
@@ -145,22 +145,22 @@ def _mass_vector(net: ResistanceNetwork, mu) -> np.ndarray:
 class MagneticAssembly:
     """Energy matrix of a magnetic model in the vertex-indicator basis.
 
-    ``matrix`` satisfies ``g^H matrix f = E^a(f, g)`` on the kept vertices;
-    it is Hermitian positive semidefinite by construction.  ``symmetrized``
-    computes ``M^{-1/2} matrix M^{-1/2}`` for the diagonal mass matrix ``M``
-    on each access; ``kept`` maps its rows back to vertices of the parent
-    network (a proper subset under Dirichlet boundary conditions).
+    ``matrix`` is a CSR matrix with ``g^H matrix f = E^a(f, g)`` on the kept
+    vertices; it is Hermitian positive semidefinite by construction.
+    ``symmetrized``, the one dense form, computes ``M^{-1/2} matrix M^{-1/2}``
+    for the diagonal mass matrix ``M`` on each access; ``kept`` maps its rows
+    back to vertices of the parent network (a proper subset under Dirichlet
+    boundary conditions).
     """
 
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_matrix
     mass: np.ndarray
     kept: np.ndarray
-    boundary: str
 
     @property
     def symmetrized(self) -> np.ndarray:
         scale = 1.0 / np.sqrt(self.mass)
-        return self.matrix * np.outer(scale, scale)
+        return self.matrix.toarray() * np.outer(scale, scale)
 
 
 def assemble(
@@ -180,16 +180,10 @@ def assemble(
     mass = _mass_vector(net, mu)
     n = net.vertex_count
     c = net.conductances
-    A = np.zeros((n, n), dtype=np.complex128)
-    np.add.at(A, (net.tails, net.tails), c * (k_tail.real**2 + k_tail.imag**2))
-    np.add.at(A, (net.heads, net.heads), c * (k_head.real**2 + k_head.imag**2))
-    cross = c * np.conj(k_tail) * k_head
-    np.add.at(A, (net.tails, net.heads), cross)
-    np.add.at(A, (net.heads, net.tails), np.conj(cross))
-
+    A = _edge_matrix(net, c * (k_tail.real**2 + k_tail.imag**2),
+                     c * (k_head.real**2 + k_head.imag**2), c * np.conj(k_tail) * k_head)
     if boundary == "neumann":
         kept = np.arange(n, dtype=np.int64)
-        kind = "neumann"
     else:
         try:
             kind, dirichlet = boundary
@@ -204,12 +198,10 @@ def assemble(
             raise ValueError("dirichlet boundary set out of range")
         if dirichlet.size == n:
             raise ValueError("dirichlet boundary set leaves no free vertex")
-        mask = np.ones(n, dtype=bool)
-        mask[dirichlet] = False
-        kept = np.nonzero(mask)[0]
-        A = A[np.ix_(kept, kept)]
+        kept = np.setdiff1d(np.arange(n, dtype=np.int64), dirichlet)
+        A = A[kept][:, kept]
         mass = mass[kept]
-    return MagneticAssembly(matrix=A, mass=mass, kept=kept, boundary=kind)
+    return MagneticAssembly(matrix=A, mass=mass, kept=kept)
 
 
 def gauge_transform(net: ResistanceNetwork, model: MagneticModel, lam) -> MagneticModel:
@@ -338,17 +330,15 @@ def dirichlet_solve(
 ) -> np.ndarray:
     """Solve the magnetic equation off a pinned set and extend by zero.
 
-    Solves ``A_cc u_c = (M rhs)_c`` where ``A`` is the Neumann assembly
-    restricted to the complement of ``dirichlet`` and ``M`` the mass matrix;
-    the returned function vanishes on the pinned set.  For an exact field
-    ``d lambda`` (peierls) the solution is ``e^{-i lambda}`` times the
+    Solves ``A_cc u_c = (M rhs)_c`` by sparse LU, where ``A`` is the Neumann
+    assembly restricted to the complement of ``dirichlet`` and ``M`` the mass
+    matrix; the returned function vanishes on the pinned set.  For an exact
+    field ``d lambda`` (peierls) the solution is ``e^{-i lambda}`` times the
     non-magnetic solution for ``e^{i lambda} rhs``.
     """
     rhs = np.asarray(net._check_vertex_values(rhs), dtype=np.complex128)
     asm = assemble(net, model, mu, boundary=("dirichlet", dirichlet))
-    mass_full = _mass_vector(net, mu)
-    b = (mass_full * rhs)[asm.kept]
-    u_kept = scipy.linalg.solve(asm.matrix, b, assume_a="pos", check_finite=False)
     u = np.zeros(net.vertex_count, dtype=np.complex128)
-    u[asm.kept] = u_kept
+    solve = _interior_solver(asm.matrix, "dirichlet block is singular")
+    u[asm.kept] = solve(asm.mass * rhs[asm.kept])
     return u

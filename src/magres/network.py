@@ -175,28 +175,35 @@ def laplacian(net: ResistanceNetwork) -> np.ndarray:
 
 
 def _sparse_laplacian(net: ResistanceNetwork) -> scipy.sparse.csr_matrix:
-    """Graph Laplacian in CSR form, with every diagonal entry stored.
+    """Graph Laplacian in CSR form: the real case of :func:`_edge_matrix`."""
+    return _edge_matrix(net, net.conductances, net.conductances, -net.conductances)
 
-    Each stored entry occurs once in the COO data, so no duplicates are
-    summed; the degrees accumulate tail edges, then head edges, in edge order.
+
+def _edge_matrix(net: ResistanceNetwork, tail_diag, head_diag, cross) -> scipy.sparse.csr_matrix:
+    """CSR sum of the edges' Hermitian 2x2 blocks, every diagonal entry stored.
+
+    Edge ``e`` adds ``tail_diag[e]``/``head_diag[e]`` to the diagonal at its
+    tail/head and ``cross[e]`` at (tail, head), its conjugate at (head, tail).
+    No COO duplicates are summed; the diagonal accumulates tails, then heads,
+    in edge order.
     """
     n = net.vertex_count
-    c = net.conductances
-    degree = np.zeros(n, dtype=np.float64)
-    np.add.at(degree, net.tails, c)
-    np.add.at(degree, net.heads, c)
-    diag = np.arange(n)
-    rows = np.concatenate([diag, net.tails, net.heads])
-    cols = np.concatenate([diag, net.heads, net.tails])
-    vals = np.concatenate([degree, -c, -c])
+    diag = np.zeros(n, dtype=np.result_type(tail_diag, cross))
+    np.add.at(diag, net.tails, tail_diag)
+    np.add.at(diag, net.heads, head_diag)
+    idx = np.arange(n)
+    rows = np.concatenate([idx, net.tails, net.heads])
+    cols = np.concatenate([idx, net.heads, net.tails])
+    vals = np.concatenate([diag, cross, np.conj(cross)])
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def _interior_solver(block, message: str):
     """Sparse LU of an interior block; returns ``solve(rhs)``.
 
-    A complex right-hand side is split into two real solves.  An exactly
-    singular block raises :class:`NetworkError` with ``message``.
+    A complex block is solved directly; for a real block a complex
+    right-hand side is split into two real solves.  An exactly singular
+    block raises :class:`NetworkError` with ``message``.
     """
     try:
         lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(block))
@@ -204,7 +211,7 @@ def _interior_solver(block, message: str):
         raise NetworkError(message) from exc
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(rhs):
+        if np.iscomplexobj(rhs) and not np.iscomplexobj(block):
             return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
         return lu.solve(rhs)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .magnetic import MagneticModel, assemble
 from .oneforms import cycle_basis, cycle_field, field_from_spec
@@ -90,14 +91,14 @@ class SpectrumReport:
     Validated at construction: eigenvalues ascend and the lowest one sits
     above ``-1e-10 * max(1, lambda_max)``, the roundoff floor appropriate
     for positive semidefinite operators of that scale.  ``matrix`` is the
-    assembled energy matrix on the kept vertices, when the report was
-    computed from one.
+    sparse (CSR) assembled energy matrix on the kept vertices, when the
+    report was computed from one.
     """
 
     eigenvalues: np.ndarray
     metadata: dict = dataclass_field(default_factory=dict)
     eigenvectors: np.ndarray | None = None
-    matrix: np.ndarray | None = None
+    matrix: scipy.sparse.csr_matrix | None = None
 
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=np.float64)

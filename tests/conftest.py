@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from magres import ResistanceNetwork, bundled_structure, laplacian
+from magres import MagneticModel, ResistanceNetwork, bundled_structure, laplacian
+from magres.magnetic import _edge_coefficients
 from magres.network import TRACE_ZERO_TOL
 
 
@@ -51,6 +52,24 @@ def dense_trace(net: ResistanceNetwork, keep) -> ResistanceNetwork:
     return ResistanceNetwork.from_edges(
         keep.size, zip(iu[present], ju[present], cond[present]), labels
     )
+
+
+def dense_assembly(net: ResistanceNetwork, model: MagneticModel, kept=None) -> np.ndarray:
+    """Magnetic energy matrix by a dense ``np.add.at`` scatter: the oracle for ``assemble``.
+
+    ``kept``, when given, restricts rows and columns to those vertices, as a
+    Dirichlet condition on the others does.
+    """
+    k_tail, k_head = _edge_coefficients(net, model)
+    n = net.vertex_count
+    c = net.conductances
+    A = np.zeros((n, n), dtype=np.complex128)
+    np.add.at(A, (net.tails, net.tails), c * (k_tail.real**2 + k_tail.imag**2))
+    np.add.at(A, (net.heads, net.heads), c * (k_head.real**2 + k_head.imag**2))
+    cross = c * np.conj(k_tail) * k_head
+    np.add.at(A, (net.tails, net.heads), cross)
+    np.add.at(A, (net.heads, net.tails), np.conj(cross))
+    return A if kept is None else A[np.ix_(kept, kept)]
 
 
 def structure_data(name: str) -> dict:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import magres.cli
+import magres.magnetic
 import magres.spectral
 from magres import bundled_structure, spectrum
 from magres.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
@@ -273,15 +274,24 @@ def test_spectrum_dirichlet_drops_boundary(capsys):
     assert doc["report"]["eigenvalues"][0] > 0.1
 
 
-def test_spectrum_over_dense_limit_refused_before_assembly(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--model", "peierls", "--k", "2"],
+        ["gauge-check", "--model", "peierls"],
+        ["zero-mode"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_over_dense_limit_refused_before_assembly(argv, monkeypatch, capsys):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled a matrix beyond the dense limit")
 
-    for module in (magres.spectral, magres.cli):
+    for module in (magres.spectral, magres.cli, magres.magnetic):
         monkeypatch.setattr(module, "assemble", no_assembly)
-    code = main(["spectrum", "--structure", "gasket", "--level", "8", "--model", "peierls", "--k", "2"])
+    code = main(argv[:1] + ["--structure", "gasket", "--level", "8"] + argv[1:])
     assert code == EXIT_FAIL
-    assert "dense limit" in capsys.readouterr().err
+    assert "level 8 has 9843 vertices; dense limit is 4096" in capsys.readouterr().err
 
 
 def test_spectrum_matches_library_with_rational_measure(capsys):

@@ -1,17 +1,21 @@
-"""Sparse traces and solves against the dense path they replaced."""
+"""Sparse traces, assemblies and solves against the dense path they replaced."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import magres.network
 from magres import (
+    MagneticModel,
     NetworkError,
     ResistanceNetwork,
+    assemble,
     bundled_structure,
     conductance_deviation,
+    dirichlet_solve,
     divergence,
     embed_indices,
     harmonic_extension,
@@ -19,8 +23,9 @@ from magres import (
     laplacian,
     refine,
     trace_to,
+    vertex_measure,
 )
-from conftest import dense_trace, random_connected_network
+from conftest import dense_assembly, dense_trace, random_connected_network
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -49,12 +54,15 @@ def dense_hodge_potential(net: ResistanceNetwork, w) -> np.ndarray:
     + [("gasket", 6)],
 )
 def test_trace_matches_dense_schur_complement(name, level):
-    # onto the previous level and onto the base vertices
+    # onto the previous level against the dense oracle; onto the base
+    # vertices against the base network itself, since the dense oracle's own
+    # roundoff there (9.6e-13 at gasket L6) leaves the bound no headroom
     s = bundled_structure(name)
-    fine = refine(s, level)
-    for coarse in (refine(s, level - 1), refine(s, 0)):
-        keep = embed_indices(fine, coarse)
-        assert conductance_deviation(trace_to(fine.net, keep), dense_trace(fine.net, keep)) <= 1e-12
+    fine, coarse, base = refine(s, level), refine(s, level - 1), refine(s, 0)
+    keep = embed_indices(fine, coarse)
+    assert conductance_deviation(trace_to(fine.net, keep), dense_trace(fine.net, keep)) <= 1e-12
+    traced = trace_to(fine.net, embed_indices(fine, base))
+    assert conductance_deviation(traced, base.net) <= 1e-12
 
 
 def test_trace_matches_dense_on_random_networks():
@@ -102,6 +110,40 @@ def test_sparse_paths_never_build_the_dense_laplacian(monkeypatch):
     assert np.all(np.isfinite(h))
     w = np.random.default_rng(14).standard_normal(fine.net.edge_count)
     assert np.all(np.isfinite(hodge_decompose(fine.net, w).coulomb))
+
+
+@pytest.mark.parametrize("name", ["interval", "circle", "gasket"])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["linearized", "peierls"])
+@pytest.mark.parametrize("dirichlet", [False, True])
+def test_assembly_matches_dense_scatter(name, level, kind, dirichlet):
+    # bitwise, so that every spectrum computed from the sparse assembly is too
+    ref = refine(bundled_structure(name), level)
+    net = ref.net
+    model = MagneticModel(kind=kind, field=np.random.default_rng(level).standard_normal(net.edge_count))
+    mu = vertex_measure(ref)
+    kept = np.setdiff1d(np.arange(net.vertex_count), ref.boundary) if dirichlet else None
+    boundary = ("dirichlet", ref.boundary) if dirichlet else "neumann"
+    asm = assemble(net, model, mu, boundary)
+    assert scipy.sparse.issparse(asm.matrix)
+    assert np.array_equal(asm.matrix.toarray(), dense_assembly(net, model, kept))
+
+
+@pytest.mark.parametrize("kind", ["linearized", "peierls"])
+def test_dirichlet_solve_matches_dense_solve(kind):
+    rng = np.random.default_rng(15)
+    ref = refine(bundled_structure("gasket"), 5)
+    net = ref.net
+    model = MagneticModel(kind=kind, field=rng.standard_normal(net.edge_count))
+    mu = vertex_measure(ref).mass
+    rhs = rng.standard_normal(net.vertex_count) + 1j * rng.standard_normal(net.vertex_count)
+    u = dirichlet_solve(net, model, mu, ref.boundary, rhs)
+    free = np.setdiff1d(np.arange(net.vertex_count), ref.boundary)
+    expected = np.zeros(net.vertex_count, dtype=np.complex128)
+    expected[free] = scipy.linalg.solve(
+        dense_assembly(net, model, free), (mu * rhs)[free], assume_a="pos"
+    )
+    assert relative_error(u, expected) <= 1e-12
 
 
 def isolated_vertex_network() -> ResistanceNetwork:
