@@ -322,8 +322,6 @@ def cmd_build(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = args.prefix or f"{s.name or 'structure'}-L{int(args.level)}"
 
-    net_payload = network_to_dict(ref.net)
-    net_payload["labels"] = list(ref.names)
     measure_payload = {
         "structure": s.name or "unnamed",
         "level": int(args.level),
@@ -343,7 +341,7 @@ def cmd_build(args) -> int:
         "measure": str(out_dir / f"{prefix}.measure.json"),
         "cells": str(out_dir / f"{prefix}.cells.json"),
     }
-    Path(files["network"]).write_text(_dump_json(_py(net_payload)), encoding="utf-8")
+    Path(files["network"]).write_text(_dump_json(_py(network_to_dict(ref.net))), encoding="utf-8")
     Path(files["measure"]).write_text(_dump_json(_py(measure_payload)), encoding="utf-8")
     Path(files["cells"]).write_text(_dump_json(_py(cells_payload)), encoding="utf-8")
 
@@ -605,17 +603,17 @@ def cmd_hodge(args) -> int:
     basis = cycle_basis(ref.net)
     flux_w = cycle_fluxes(ref.net, w, basis)
     flux_coulomb = cycle_fluxes(ref.net, dec.coulomb, basis)
-    flux_dev = float(np.max(np.abs(flux_w - flux_coulomb))) if len(basis.cycles) else 0.0
+    flux_dev = float(np.max(np.abs(flux_w - flux_coulomb))) if len(basis.chords) else 0.0
     scale = max(1.0, dec.total_norm_sq)
     tol = float(args.tol)
     passed = (
         dec.orthogonality_residual <= tol * scale
         and dec.pythagoras_residual <= tol * scale
-        and flux_dev <= tol * max(1.0, float(np.max(np.abs(flux_w))) if len(basis.cycles) else 1.0)
+        and flux_dev <= tol * max(1.0, float(np.max(np.abs(flux_w))) if len(basis.chords) else 1.0)
     )
     report = {
         "edges": int(ref.net.edge_count),
-        "cycles": len(basis.cycles),
+        "cycles": len(basis.chords),
         "exact_norm_sq": dec.exact_norm_sq,
         "coulomb_norm_sq": dec.coulomb_norm_sq,
         "total_norm_sq": dec.total_norm_sq,
@@ -652,6 +650,8 @@ def cmd_solve(args) -> int:
     model = MagneticModel(kind=args.model, field=field)
     pinned = _parse_vertex_set(args.dirichlet, ref)
     rhs = _parse_rhs(args.rhs, ref.net.vertex_count)
+    if args.export_matrix:
+        _require_dense(ref)  # the export writes the matrix densely
     u = dirichlet_solve(ref.net, model, mu, pinned, rhs)
 
     asm = assemble(ref.net, model, mu, boundary="neumann")

@@ -125,13 +125,6 @@ class ResistanceNetwork:
     def edge_count(self) -> int:
         return len(self.conductances)
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        """Edge list as plain Python tuples, in canonical order."""
-        return [
-            (int(i), int(j), float(c))
-            for i, j, c in zip(self.tails, self.heads, self.conductances)
-        ]
-
     def is_connected(self) -> bool:
         if self.vertex_count == 1:
             return True

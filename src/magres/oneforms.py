@@ -15,10 +15,11 @@ fluxes of ``w`` vanish.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import breadth_first_order
 
 from .network import NetworkError, ResistanceNetwork, _interior_solver, _sparse_laplacian
 
@@ -137,86 +138,55 @@ def hodge_decompose(net: ResistanceNetwork, w) -> HodgeDecomposition:
 class CycleBasis:
     """Fundamental cycles of a breadth-first spanning tree rooted at 0.
 
-    ``cycles[k]`` lists ``(edge_index, sign)`` pairs tracing the cycle that
-    the chord ``chords[k]`` closes; sign +1 means the edge is traversed from
-    tail to head.  The cycle count is ``edge_count - vertex_count + 1``.
+    ``tree`` lists the ``(vertex, parent_edge)`` pair of every vertex but
+    the root, in breadth-first order (lower-numbered neighbours first).
+    ``chords`` lists the other edges in ascending order; cycle ``k`` runs
+    along ``chords[k]`` from tail to head and back through the tree.  The
+    cycle count is ``edge_count - vertex_count + 1``.
     """
 
-    tree_edges: tuple[int, ...]
+    tree: tuple[tuple[int, int], ...]
     chords: tuple[int, ...]
-    cycles: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def cycle_basis(net: ResistanceNetwork) -> CycleBasis:
     """Build the fundamental cycle basis (BFS tree from vertex 0)."""
-    n = net.vertex_count
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e, (i, j) in enumerate(zip(net.tails, net.heads)):
-        adjacency[int(i)].append((int(j), e))
-        adjacency[int(j)].append((int(i), e))
-    for lst in adjacency:
-        lst.sort()
-
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    tree: list[int] = []
-    while queue:
-        x = queue.popleft()
-        for y, e in adjacency[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                parent_edge[y] = e
-                depth[y] = depth[x] + 1
-                tree.append(e)
-                queue.append(y)
-    tree_set = set(tree)
-    chords = [e for e in range(net.edge_count) if e not in tree_set]
-
-    def step_sign(a: int, b: int, e: int) -> int:
-        return 1 if (int(net.tails[e]), int(net.heads[e])) == (a, b) else -1
-
-    cycles = []
-    for e in chords:
-        u, v = int(net.tails[e]), int(net.heads[e])
-        cycle = [(e, 1)]
-        # walk v and u up to their lowest common ancestor
-        up_v, up_u = [], []
-        a, b = v, u
-        while depth[a] > depth[b]:
-            up_v.append((a, int(parent[a]), int(parent_edge[a])))
-            a = int(parent[a])
-        while depth[b] > depth[a]:
-            up_u.append((b, int(parent[b]), int(parent_edge[b])))
-            b = int(parent[b])
-        while a != b:
-            up_v.append((a, int(parent[a]), int(parent_edge[a])))
-            up_u.append((b, int(parent[b]), int(parent_edge[b])))
-            a, b = int(parent[a]), int(parent[b])
-        for x, p, eid in up_v:  # moving v -> lca
-            cycle.append((eid, step_sign(x, p, eid)))
-        for x, p, eid in reversed(up_u):  # moving lca -> u
-            cycle.append((eid, step_sign(p, x, eid)))
-        cycles.append(tuple(cycle))
+    n, m = net.vertex_count, net.edge_count
+    # entry (i, j) is the number of edge {i, j} plus one, so none is zero
+    ids = np.arange(1, m + 1)
+    graph = scipy.sparse.csr_array(
+        (np.concatenate([ids, ids]),
+         (np.concatenate([net.tails, net.heads]), np.concatenate([net.heads, net.tails]))),
+        shape=(n, n),
+    )
+    graph.sort_indices()
+    order, parent = breadth_first_order(graph, 0, directed=True, return_predecessors=True)
+    vertices = order[1:]
+    # an empty lookup would come back as a sparse array
+    edges = graph[parent[vertices], vertices] - 1 if vertices.size else vertices
+    is_chord = np.ones(m, dtype=bool)
+    is_chord[edges] = False
     return CycleBasis(
-        tree_edges=tuple(sorted(tree)),
-        chords=tuple(chords),
-        cycles=tuple(cycles),
+        tree=tuple(zip(vertices.tolist(), edges.tolist())),
+        chords=tuple(np.flatnonzero(is_chord).tolist()),
     )
 
 
 def cycle_fluxes(net: ResistanceNetwork, w, basis: CycleBasis | None = None) -> np.ndarray:
-    """Flux of a form around each fundamental cycle."""
+    """Flux of a form around each fundamental cycle.
+
+    The tree potential ``phi(0) = 0``, ``phi(v) = phi(parent) +- w(parent
+    edge)`` makes ``w - d(phi)`` vanish on the tree, so its value on a
+    chord is the flux of that chord's cycle.
+    """
     w = _check_form(net, w)
     basis = cycle_basis(net) if basis is None else basis
-    out = np.zeros(len(basis.cycles), dtype=w.dtype)
-    for k, cycle in enumerate(basis.cycles):
-        out[k] = sum(sign * w[e] for e, sign in cycle)
-    return out
+    tails, heads, values = net.tails.tolist(), net.heads.tolist(), w.tolist()
+    phi = [0.0] * net.vertex_count
+    for v, e in basis.tree:
+        phi[v] = phi[tails[e]] + values[e] if heads[e] == v else phi[heads[e]] - values[e]
+    chords = np.asarray(basis.chords, dtype=np.intp)
+    return (w - derivation(net, np.asarray(phi, dtype=w.dtype)))[chords]
 
 
 def cycle_field(
@@ -232,9 +202,9 @@ def cycle_field(
     coulomb part, which has identical fluxes.
     """
     basis = cycle_basis(net) if basis is None else basis
-    if not 0 <= index < len(basis.cycles):
+    if not 0 <= index < len(basis.chords):
         raise ValueError(
-            f"cycle index {index} out of range; network has {len(basis.cycles)} independent cycles"
+            f"cycle index {index} out of range; network has {len(basis.chords)} independent cycles"
         )
     w = np.zeros(net.edge_count, dtype=np.float64)
     w[basis.chords[index]] = float(amplitude)

@@ -114,15 +114,6 @@ class SpectrumReport:
             )
 
 
-def _resolve_model(net, model, field) -> MagneticModel:
-    if isinstance(model, MagneticModel):
-        return model
-    if field is None:
-        field = "zero"
-    arr = field_from_spec(net, field) if isinstance(field, str) else np.asarray(field, dtype=np.float64)
-    return MagneticModel(kind=str(model), field=arr)
-
-
 def _require_dense(ref: Refinement) -> None:
     """Refuse a refinement too large for dense assembly and eigensolution."""
     if ref.net.vertex_count > MAX_DENSE_DIM:
@@ -160,7 +151,8 @@ def spectrum(
     """
     ref = refine(s, int(level))
     mu = vertex_measure(ref, measure)
-    mod = _resolve_model(ref.net, model, field)
+    arr = field_from_spec(ref.net, field) if isinstance(field, str) else np.asarray(field, dtype=np.float64)
+    mod = MagneticModel(kind=str(model), field=arr)
     _require_dense(ref)  # after the measure and field, so bad input is reported first
     asm = assemble(ref.net, mod, mu, _resolve_boundary(ref, boundary))
     metadata = {
@@ -216,9 +208,9 @@ def flux_sweep(
         raise ValueError("flux grid must be a non-empty 1-d array")
     ref = refine(s, int(level))
     mu = vertex_measure(ref, measure)
-    _require_dense(ref)
     basis = cycle_basis(ref.net)
     unit = cycle_field(ref.net, int(cycle_index), 1.0, basis=basis)
+    _require_dense(ref)  # after the cycle, so bad input is reported first
     bnd = _resolve_boundary(ref, boundary)
 
     rows = [
@@ -237,7 +229,7 @@ def flux_sweep(
         "boundary": boundary,
         "measure": "structure" if measure is None else str(measure),
         "cycle": int(cycle_index),
-        "cycles_available": len(basis.cycles),
+        "cycles_available": len(basis.chords),
         "k": int(k_eff),
     }
     return FluxSweepReport(fluxes=fluxes, table=table, metadata=metadata)

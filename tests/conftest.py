@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import deque
 from importlib.resources import files
 
 import numpy as np
@@ -70,6 +71,69 @@ def dense_assembly(net: ResistanceNetwork, model: MagneticModel, kept=None) -> n
     np.add.at(A, (net.tails, net.heads), cross)
     np.add.at(A, (net.heads, net.tails), np.conj(cross))
     return A if kept is None else A[np.ix_(kept, kept)]
+
+
+def bfs_tree(net: ResistanceNetwork):
+    """Breadth-first spanning tree from vertex 0 by a hand-written queue: the oracle for ``cycle_basis``.
+
+    Returns ``(tree, chords)``: the ``(vertex, parent_edge)`` pairs in the
+    order vertices are reached, lower-numbered neighbours first, and the
+    remaining edges in ascending order.
+    """
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(net.vertex_count)]
+    for e, (i, j) in enumerate(zip(net.tails.tolist(), net.heads.tolist())):
+        adjacency[i].append((j, e))
+        adjacency[j].append((i, e))
+    seen = {0}
+    queue = deque([0])
+    tree = []
+    while queue:
+        x = queue.popleft()
+        for y, e in sorted(adjacency[x]):
+            if y not in seen:
+                seen.add(y)
+                tree.append((y, e))
+                queue.append(y)
+    in_tree = {e for _, e in tree}
+    chords = tuple(e for e in range(net.edge_count) if e not in in_tree)
+    return tuple(tree), chords
+
+
+def cycle_sums(net: ResistanceNetwork, w) -> np.ndarray:
+    """Signed sums of ``w`` along each fundamental cycle of ``bfs_tree``: the oracle for ``cycle_fluxes``.
+
+    Each cycle is enumerated edge by edge: its chord from tail to head, then
+    up from the head to the lowest common ancestor and down to the tail.
+    """
+    tree, chords = bfs_tree(net)
+    parent = {0: None}
+    parent_edge = {}
+    depth = {0: 0}
+    for v, e in tree:
+        p = int(net.tails[e]) + int(net.heads[e]) - v
+        parent[v], parent_edge[v], depth[v] = p, e, depth[p] + 1
+
+    def step(a: int, e: int) -> complex:
+        # w summed along tree edge e, walked from a to its other end
+        return w[e] if int(net.tails[e]) == a else -w[e]
+
+    out = []
+    for chord in chords:
+        u, v = int(net.tails[chord]), int(net.heads[chord])
+        up, down = [], []  # steps v -> lca, and u -> lca (walked back later)
+        a, b = v, u
+        while depth[a] > depth[b]:
+            up.append(step(a, parent_edge[a]))
+            a = parent[a]
+        while depth[b] > depth[a]:
+            down.append(-step(b, parent_edge[b]))
+            b = parent[b]
+        while a != b:
+            up.append(step(a, parent_edge[a]))
+            down.append(-step(b, parent_edge[b]))
+            a, b = parent[a], parent[b]
+        out.append(sum([w[chord]] + up + down[::-1]))
+    return np.asarray(out, dtype=np.asarray(w).dtype)
 
 
 def structure_data(name: str) -> dict:

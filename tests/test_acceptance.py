@@ -186,7 +186,7 @@ def test_06_flux_quantization(gasket3):
     ref, mu = gasket3
     net = ref.net
     basis = cycle_basis(net)
-    n_cycles = len(basis.cycles)
+    n_cycles = len(basis.chords)
     rng = np.random.default_rng(106)
     units: dict[int, np.ndarray] = {}
 

@@ -280,6 +280,7 @@ def test_spectrum_dirichlet_drops_boundary(capsys):
         ["spectrum", "--model", "peierls", "--k", "2"],
         ["gauge-check", "--model", "peierls"],
         ["zero-mode"],
+        ["flux-sweep", "--model", "peierls", "--grid", "0:1:2"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -375,6 +376,18 @@ def test_flux_sweep_bad_cycle_exits_2(capsys):
     assert "out of range" in err
 
 
+def test_flux_sweep_bad_cycle_over_dense_limit_exits_2(capsys):
+    # the cycle index is input, so it is checked before the dense limit
+    code = main(
+        ["flux-sweep", "--structure", "gasket", "--level", "8", "--model", "peierls",
+         "--cycle", "99999", "--grid", "0:1:2"]
+    )
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "cycle index 99999 out of range" in err
+    assert "dense limit" not in err
+
+
 def test_flux_sweep_bad_grid_exits_2(capsys):
     code = main(
         ["flux-sweep", "--structure", "gasket", "--level", "1", "--model", "peierls",
@@ -458,6 +471,18 @@ def test_audit_small_margin_exits_2(capsys):
         code = main(["audit", "--structure", "gasket", "--level", "1", "--M", margin])
         assert code == EXIT_INPUT
         assert "20/3" in capsys.readouterr().err
+
+
+def test_audit_radii_are_echoed(capsys):
+    code, doc = run_json(
+        capsys,
+        ["audit", "--structure", "gasket", "--level", "1", "--trials", "5", "--balls", "3",
+         "--radii", "0.5,0.25"],
+    )
+    assert code == EXIT_PASS
+    assert doc["config"]["radii"] == "0.5,0.25"
+    assert doc["report"]["details"]["radii"] == [0.5, 0.25]
+    assert [r for r, _ in doc["report"]["m_profile"]] == [0.5, 0.25]
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +662,63 @@ def test_solve_non_finite_rhs_file_exits_2(value, tmp_path, capsys):
     )
     assert code == EXIT_INPUT
     assert "finite" in capsys.readouterr().err
+
+
+def test_solve_export_over_dense_limit_refused_before_solving(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a system whose export exceeds the dense limit")
+
+    monkeypatch.setattr(magres.cli, "dirichlet_solve", no_solve)
+    out = tmp_path / "matrix.json"
+    code = main(
+        ["solve", "--structure", "gasket", "--level", "8", "--model", "peierls",
+         "--dirichlet", "boundary", "--rhs", "delta:0", "--export-matrix", str(out)]
+    )
+    assert code == EXIT_FAIL
+    assert "level 8 has 9843 vertices; dense limit is 4096" in capsys.readouterr().err
+    assert not out.exists()
+
+
+AUDIT = ["audit", "--structure", "gasket", "--level", "1", "--radii"]
+SOLVE = ["solve", "--structure", "gasket", "--level", "1", "--model", "peierls"]
+SWEEP = ["flux-sweep", "--structure", "circle", "--level", "2", "--model", "peierls", "--grid"]
+NOT_A_LIST = '{"vertices": [0]}'
+MALFORMED = "[1, 2"
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (AUDIT + ["0.5,abc"], "radii '0.5,abc'"),
+        (AUDIT + ["0,1"], "radii must be positive"),
+        (AUDIT + ["nan"], "radii must be positive and finite"),
+        (SOLVE + ["--rhs", "delta:0", "--dirichlet", "99"], "vertex 99 out of range"),
+        (SOLVE + ["--rhs", "delta:0", "--dirichlet", "0,x"], "vertex set '0,x'"),
+        (SOLVE + ["--rhs", "delta:0", "--dirichlet", NOT_A_LIST], "expected a JSON list of vertex"),
+        (SOLVE + ["--rhs", "delta:0", "--dirichlet", MALFORMED], "malformed JSON"),
+        (SOLVE + ["--dirichlet", "0", "--rhs", "delta:abc"], "rhs 'delta:abc'"),
+        (SOLVE + ["--dirichlet", "0", "--rhs", "delta:999"], "rhs vertex 999 out of range"),
+        (SOLVE + ["--dirichlet", "0", "--rhs", "constant:abc"], "rhs 'constant:abc'"),
+        (SOLVE + ["--dirichlet", "0", "--rhs", MALFORMED], "malformed JSON"),
+        (SOLVE + ["--dirichlet", "0", "--rhs", NOT_A_LIST], "expected a JSON list of 6 values"),
+        (SWEEP + ["0:1"], "must have the form start:stop:count"),
+        (SWEEP + ["0:1:0"], "grid count must be at least 1"),
+        (SWEEP + ["0:inf:3"], "grid endpoints must be finite"),
+        (SWEEP + ["a:1:3"], "grid 'a:1:3'"),
+        (["converge", "--structure", "gasket", "--levels", "1,x", "--model", "peierls"],
+         "levels '1,x'"),
+    ],
+)
+def test_malformed_option_exits_2(argv, fragment, tmp_path, capsys):
+    # a JSON text in the argument list stands for a file holding it
+    files = {MALFORMED: tmp_path / "malformed.json", NOT_A_LIST: tmp_path / "not_a_list.json"}
+    for text, path in files.items():
+        path.write_text(text, encoding="utf-8")
+    argv = [str(files[a]) if a in files else a for a in argv]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert "Traceback" not in err
 
 
 def test_solve_empty_pinned_set_exits_2(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from magres import (
     ResistanceNetwork,
+    bundled_structure,
     cycle_basis,
     cycle_field,
     cycle_fluxes,
@@ -21,7 +22,7 @@ from magres import (
     module_action,
     refine,
 )
-from conftest import random_connected_network
+from conftest import bfs_tree, cycle_sums, random_connected_network
 
 
 def three_cycle() -> ResistanceNetwork:
@@ -133,7 +134,7 @@ def test_hodge_on_tree_is_fully_exact():
     w = np.array([1.0, -2.0, 0.5])
     dec = hodge_decompose(net, w)
     assert dec.coulomb_norm_sq < 1e-14
-    assert len(cycle_basis(net).cycles) == 0
+    assert len(cycle_basis(net).chords) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +146,14 @@ def test_cycle_count_is_euler_characteristic():
     for _ in range(10):
         net = random_connected_network(rng, 10)
         basis = cycle_basis(net)
-        assert len(basis.cycles) == net.edge_count - net.vertex_count + 1
-        assert len(basis.tree_edges) == net.vertex_count - 1
+        assert len(basis.chords) == net.edge_count - net.vertex_count + 1
+        assert len(basis.tree) == net.vertex_count - 1
 
 
 def test_three_cycle_uniform_field_flux():
     net = three_cycle()
     basis = cycle_basis(net)
-    assert len(basis.cycles) == 1
+    assert len(basis.chords) == 1
     # orienting every edge i<j with value t makes the directed loop sum +-t
     fluxes = cycle_fluxes(net, np.array([0.25, 0.25, 0.25]), basis)
     assert abs(fluxes[0]) == pytest.approx(0.25)
@@ -165,17 +166,17 @@ def test_fluxes_of_exact_forms_vanish():
     for _ in range(5):
         f = rng.standard_normal(9)
         fluxes = cycle_fluxes(net, derivation(net, f), basis)
-        assert np.max(np.abs(fluxes)) < 1e-12 if len(basis.cycles) else True
+        assert np.max(np.abs(fluxes)) < 1e-12 if len(basis.chords) else True
 
 
 def test_cycle_field_hits_unit_flux_on_its_cycle_only():
     rng = np.random.default_rng(10)
     net = random_connected_network(rng, 9)
     basis = cycle_basis(net)
-    for i in range(len(basis.cycles)):
+    for i in range(len(basis.chords)):
         w = cycle_field(net, i, 2.5, basis=basis)
         fluxes = cycle_fluxes(net, w, basis)
-        expected = np.zeros(len(basis.cycles))
+        expected = np.zeros(len(basis.chords))
         expected[i] = 2.5
         assert np.allclose(fluxes, expected, atol=1e-10)
         # coulomb projection: divergence-free realization
@@ -197,6 +198,40 @@ def test_hodge_preserves_cycle_fluxes():
     assert np.allclose(
         cycle_fluxes(net, w, basis), cycle_fluxes(net, dec.coulomb, basis), atol=1e-10
     )
+
+
+def oracle_networks():
+    """Bundled structures at levels 0-6, then 120 random networks of 1-79 vertices."""
+    for name in ("interval", "circle", "gasket"):
+        s = bundled_structure(name)
+        for level in range(7):
+            yield f"{name}-L{level}", refine(s, level).net
+    rng = np.random.default_rng(14)
+    for k in range(120):
+        n = 1 if k == 0 else int(rng.integers(2, 80))
+        yield f"random-{k}", random_connected_network(rng, n)
+
+
+def test_cycle_basis_matches_hand_written_bfs():
+    count = 0
+    for name, net in oracle_networks():
+        basis = cycle_basis(net)
+        assert (basis.tree, basis.chords) == bfs_tree(net), name
+        count += 1
+    assert count == 141
+
+
+def test_cycle_fluxes_match_enumerated_cycle_sums():
+    rng = np.random.default_rng(15)
+    for name, net in oracle_networks():
+        basis = cycle_basis(net)
+        real = rng.standard_normal(net.edge_count) * 3.0
+        cplx = real + 1j * rng.standard_normal(net.edge_count)
+        for w in (real, cplx):
+            fluxes = cycle_fluxes(net, w, basis)
+            assert fluxes.dtype == w.dtype
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+            assert np.max(np.abs(fluxes - cycle_sums(net, w)), initial=0.0) <= bound, name
 
 
 # ---------------------------------------------------------------------------
