@@ -294,7 +294,7 @@ def _parse_rhs(text: str, n: int) -> np.ndarray:
             raise InputError(f"{text}: expected a JSON list of {n} values")
         try:
             vals = [complex(v[0], v[1]) if isinstance(v, list) else complex(v) for v in data]
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InputError(f"{text}: bad value: {exc}") from exc
         arr = np.asarray(vals, dtype=np.complex128)
         if not np.all(np.isfinite(arr)):

@@ -50,6 +50,11 @@ TWO_PI = 2.0 * np.pi
 #: Relative bound on the energy coupling of functions with separated supports.
 LOCALITY_TOL = 1e-12
 
+#: Rows or columns of a dense ``n x n`` array processed at once; bounds each
+#: temporary of ``symmetrized`` and ``spectral.hermitian_eigs`` to
+#: ``n x DENSE_BLOCK``.
+DENSE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class MagneticModel:
@@ -148,7 +153,8 @@ class MagneticAssembly:
     ``matrix`` is a CSR matrix with ``g^H matrix f = E^a(f, g)`` on the kept
     vertices; it is Hermitian positive semidefinite by construction.
     ``symmetrized``, the one dense form, computes ``M^{-1/2} matrix M^{-1/2}``
-    for the diagonal mass matrix ``M`` on each access; ``kept`` maps its rows
+    for the diagonal mass matrix ``M`` on each access, scaling the densified
+    matrix in place ``DENSE_BLOCK`` rows at a time; ``kept`` maps its rows
     back to vertices of the parent network (a proper subset under Dirichlet
     boundary conditions).
     """
@@ -160,7 +166,11 @@ class MagneticAssembly:
     @property
     def symmetrized(self) -> np.ndarray:
         scale = 1.0 / np.sqrt(self.mass)
-        return self.matrix.toarray() * np.outer(scale, scale)
+        H = self.matrix.toarray()
+        for start in range(0, H.shape[0], DENSE_BLOCK):
+            rows = slice(start, start + DENSE_BLOCK)
+            H[rows] *= np.outer(scale[rows], scale)
+        return H
 
 
 def assemble(

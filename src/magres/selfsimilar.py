@@ -65,13 +65,13 @@ def _rational(value):
     """Parse a JSON scalar into Fraction (int or 'p/q' string) or float."""
     if isinstance(value, bool):
         raise StructureError(f"numeric value expected, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+            q = Fraction(value)
+            float(q)  # every computation runs in floats, so the value must fit one
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise StructureError(f"cannot parse rational {value!r}") from exc
+        return q
     if isinstance(value, float):
         return value
     raise StructureError(f"numeric value expected, got {value!r}")
@@ -232,6 +232,17 @@ def _raw_edges(s: PCFStructure, n: int) -> list:
     return out
 
 
+def _conductance(c, level: int) -> float:
+    """A level-``level`` conductance as a float; one beyond the float range is refused."""
+    try:
+        value = float(c)
+    except OverflowError:
+        value = np.inf
+    if not -np.inf < value < np.inf:  # also refuses NaN
+        raise StructureError(f"level {level} has a conductance beyond the float range")
+    return value
+
+
 def refine(s: PCFStructure, n: int) -> Refinement:
     """Build the level-``n`` network approximation of a structure.
 
@@ -273,7 +284,7 @@ def refine(s: PCFStructure, n: int) -> Refinement:
         u, v = index[canon(a)], index[canon(b)]
         cell_vertex_sets.setdefault(w, set()).update((u, v))
         if u == v:
-            loops.append({"vertex": names[u], "word": word_id(w), "conductance": float(c)})
+            loops.append({"vertex": names[u], "word": word_id(w), "conductance": _conductance(c, n)})
             continue
         key = (u, v) if u < v else (v, u)
         entry = merged.setdefault(key, [None, []])
@@ -286,15 +297,16 @@ def refine(s: PCFStructure, n: int) -> Refinement:
     cell_edges: dict[tuple, list[int]] = {w: [] for w in sorted(cell_vertex_sets)}
     for e_idx, key in enumerate(edge_keys):
         cond, words = merged[key]
+        cond = _conductance(cond, n)
         words.sort()
-        edges.append((key[0], key[1], float(cond)))
+        edges.append((key[0], key[1], cond))
         cell_edges[words[0]].append(e_idx)
         if len(words) > 1:
             collisions.append(
                 {
                     "edge": [names[key[0]], names[key[1]]],
                     "words": [word_id(w) for w in words],
-                    "conductance": float(cond),
+                    "conductance": cond,
                 }
             )
     net = ResistanceNetwork.from_edges(len(name_list), edges, names)
@@ -377,11 +389,14 @@ def parse_measure_spec(spec, map_count: int) -> list:
         ]
     if len(weights) != map_count:
         raise StructureError(f"measure spec needs {map_count} weights, got {len(weights)}")
-    for w in weights:
-        if float(w) <= 0.0:
-            raise StructureError("measure weights must be positive")
-    if abs(float(sum(weights)) - 1.0) > 1e-12:
-        raise StructureError(f"measure weights sum to {float(sum(weights))}, expected 1")
+    try:
+        values, total = [float(w) for w in weights], float(sum(weights))
+    except OverflowError as exc:  # a rational weight beyond the float range
+        raise StructureError(f"measure weight out of range: {exc}") from exc
+    if any(v <= 0.0 for v in values):
+        raise StructureError("measure weights must be positive")
+    if abs(total - 1.0) > 1e-12:
+        raise StructureError(f"measure weights sum to {total}, expected 1")
     return weights
 
 

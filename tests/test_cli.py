@@ -291,7 +291,7 @@ def test_over_dense_limit_refused_before_assembly(argv, monkeypatch, capsys):
     for module in (magres.spectral, magres.cli, magres.magnetic):
         monkeypatch.setattr(module, "assemble", no_assembly)
     code = main(argv[:1] + ["--structure", "gasket", "--level", "8"] + argv[1:])
-    assert code == EXIT_FAIL
+    assert code == EXIT_INPUT
     assert "level 8 has 9843 vertices; dense limit is 4096" in capsys.readouterr().err
 
 
@@ -674,7 +674,7 @@ def test_solve_export_over_dense_limit_refused_before_solving(tmp_path, monkeypa
         ["solve", "--structure", "gasket", "--level", "8", "--model", "peierls",
          "--dirichlet", "boundary", "--rhs", "delta:0", "--export-matrix", str(out)]
     )
-    assert code == EXIT_FAIL
+    assert code == EXIT_INPUT
     assert "level 8 has 9843 vertices; dense limit is 4096" in capsys.readouterr().err
     assert not out.exists()
 

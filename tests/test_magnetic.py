@@ -5,14 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import magres.magnetic
 from magres import (
     MagneticModel,
     ResistanceNetwork,
     assemble,
     b_form_terms,
+    bundled_structure,
     derivation,
     dirichlet_solve,
     energy,
+    field_from_spec,
     gauge_transform,
     harmonic_extension,
     inner,
@@ -24,6 +27,7 @@ from magres import (
     vertex_measure,
     zero_mode_test,
 )
+from magres.magnetic import DENSE_BLOCK
 from conftest import random_connected_network
 
 
@@ -137,6 +141,22 @@ def test_assembly_exactly_hermitian():
         dense = asm.matrix.toarray()
         assert np.array_equal(dense, dense.conj().T)
         assert np.array_equal(asm.symmetrized, asm.symmetrized.conj().T)
+
+
+@pytest.mark.parametrize("name", ["interval", "circle", "gasket"])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("block", [7, DENSE_BLOCK])
+def test_symmetrized_bitwise_equal_to_outer_product_scaling(monkeypatch, name, level, block):
+    # the blockwise in-place scaling keeps the product a_ij * (s_i s_j) of the full outer product
+    monkeypatch.setattr(magres.magnetic, "DENSE_BLOCK", block)
+    ref = refine(bundled_structure(name), level)
+    mu = vertex_measure(ref)
+    field = field_from_spec(ref.net, "random:7")
+    for kind in ("linearized", "peierls"):
+        for boundary in ("neumann", ("dirichlet", ref.boundary)):
+            asm = assemble(ref.net, MagneticModel(kind=kind, field=field), mu, boundary)
+            s = 1.0 / np.sqrt(asm.mass)
+            assert np.array_equal(asm.symmetrized, asm.matrix.toarray() * np.outer(s, s))
 
 
 def test_assembly_matches_energy_on_indicators():

@@ -296,6 +296,10 @@ def test_parse_measure_spec_variants(gasket):
         parse_measure_spec("1/2,1/2", 3)  # wrong count
     with pytest.raises(StructureError):
         parse_measure_spec("-1/2,3/2", 2)  # negative
+    with pytest.raises(StructureError):
+        parse_measure_spec("1e400,0,0", 3)  # beyond the float range
+    with pytest.raises(StructureError):
+        parse_measure_spec([Fraction(10**400), 1, 1], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +352,28 @@ def test_structure_from_dict_rejects_malformed():
     bad_edge["base"]["edges"][-1] = [1, 5, 1]
     with pytest.raises(StructureError, match="out of range"):
         structure_from_dict(bad_edge)
+
+
+@pytest.mark.parametrize("value", ["1e400", 10**400], ids=["text", "integer"])
+def test_structure_from_dict_rejects_rationals_beyond_float_range(value):
+    for path in (("maps", 0, "r"), ("maps", 0, "mu"), ("base", "edges", 0, 2)):
+        data = structure_data("interval")
+        *parents, key = path
+        target = data
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(StructureError, match="cannot parse rational"):
+            structure_from_dict(data)
+
+
+def test_refine_refuses_conductances_beyond_float_range():
+    data = structure_data("interval")
+    data["maps"][0]["r"] = "1e-200"  # level-2 conductances near 1e400
+    s = structure_from_dict(data)
+    assert refine(s, 1).net.conductances.max() == pytest.approx(1e200)
+    with pytest.raises(StructureError, match="level 2 has a conductance beyond the float range"):
+        refine(s, 2)
 
 
 def test_bundled_structure_unknown_name():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from magres import (
     SpectralError,
@@ -16,7 +19,8 @@ from magres import (
     spectrum,
     vertex_measure,
 )
-from magres.spectral import MAX_DENSE_DIM
+import magres.spectral
+from magres.spectral import DENSE_BLOCK, MAX_DENSE_DIM
 
 
 def circulant_circle_eigenvalues(n_level: int, total_flux: float) -> np.ndarray:
@@ -69,6 +73,79 @@ def test_eigs_dimension_guard():
     big = np.broadcast_to(0.0, (n, n))  # no allocation; rejected before use
     with pytest.raises(SpectralError):
         hermitian_eigs(big)
+
+
+def symmetrized_eigh(H, compute_vectors=True):
+    """The eigensolver's former formula, kept as its bitwise oracle."""
+    return scipy.linalg.eigh(0.5 * (H + H.conj().T), eigvals_only=not compute_vectors, check_finite=False)
+
+
+def hermitian_input(n: int, complex_entries: bool, defect: float) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, n))
+    if complex_entries:
+        X = X + 1j * rng.standard_normal((n, n))
+    return X + X.conj().T + defect * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, DENSE_BLOCK - 1, DENSE_BLOCK, DENSE_BLOCK + 1, 600])
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("defect", [0.0, 1e-12], ids=["exact", "defect"])
+def test_eigs_bitwise_equal_to_symmetrized_oracle(n, complex_entries, defect):
+    H = hermitian_input(n, complex_entries, defect)
+    before = H.copy()
+    w, V = hermitian_eigs(H)
+    w_ref, V_ref = symmetrized_eigh(H)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(V, V_ref)
+    assert np.array_equal(hermitian_eigs(H, compute_vectors=False), symmetrized_eigh(H, False))
+    assert np.array_equal(H, before)
+
+
+def read_only(H):
+    H = H.copy()
+    H.flags.writeable = False
+    return H
+
+
+@pytest.mark.parametrize("make", [np.asfortranarray, read_only], ids=["fortran", "read-only"])
+def test_eigs_accepts_fortran_and_read_only_inputs(make):
+    H = hermitian_input(DENSE_BLOCK + 3, True, 0.0)
+    w, V = hermitian_eigs(make(H))
+    w_ref, V_ref = symmetrized_eigh(H)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(V, V_ref)
+
+
+def test_eigs_accepts_broadcast_input():
+    n = DENSE_BLOCK + 3
+    H = np.broadcast_to(2.0, (n, n))  # read-only, zero strides
+    w, V = hermitian_eigs(H)
+    w_ref, V_ref = symmetrized_eigh(np.array(H))
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(V, V_ref)
+    assert w[-1] == pytest.approx(2.0 * n)
+
+
+def dense_copies_at_peak(H, compute_vectors):
+    """tracemalloc peak of one ``hermitian_eigs`` call, in copies of ``H``."""
+    tracemalloc.start()
+    try:
+        hermitian_eigs(H, compute_vectors=compute_vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / H.nbytes
+
+
+@pytest.mark.parametrize("compute_vectors, copies", [(False, 1.5), (True, 2.5)], ids=["values", "vectors"])
+def test_eigs_holds_one_working_copy(monkeypatch, compute_vectors, copies):
+    # numpy reports its buffers to tracemalloc, including any copy made on the
+    # way into LAPACK; the working copy, plus the eigenvectors when asked for,
+    # is all that may scale with n^2 once the blocks are small
+    monkeypatch.setattr(magres.spectral, "DENSE_BLOCK", 32)
+    H = hermitian_input(512, True, 0.0)
+    assert dense_copies_at_peak(H, compute_vectors) < copies
 
 
 def test_spectrum_report_invariants():
