@@ -54,8 +54,8 @@ from .selfsimilar import (
 )
 from .spectral import (
     SpectralError,
+    _boundary_assembly,
     _require_dense,
-    _resolve_boundary,
     compare_spectra,
     convergence_table,
     flux_sweep,
@@ -496,12 +496,12 @@ def cmd_gauge_check(args) -> int:
     s, ref, mu = _prepare(args)
     base_field = field_from_spec(ref.net, args.field)
     _require_dense(ref)  # after the field, so bad input is reported first
-    bnd = _resolve_boundary(ref, args.boundary)
     rng = np.random.default_rng(int(args.seed))
     lams = [rng.standard_normal(ref.net.vertex_count) for _ in range(int(args.count))]
 
     def eigs_of(model: MagneticModel) -> np.ndarray:
-        return hermitian_eigs(assemble(ref.net, model, mu, bnd).symmetrized, compute_vectors=False)
+        asm = _boundary_assembly(ref, model, mu, args.boundary)
+        return hermitian_eigs(asm.symmetrized, compute_vectors=False)
 
     if args.model == "peierls":
         base = MagneticModel(kind="peierls", field=base_field)
@@ -596,8 +596,7 @@ def cmd_trace_check(args) -> int:
 
 
 def cmd_hodge(args) -> int:
-    s, ref, mu = _prepare(args)
-    del mu  # decomposition is measure-free
+    ref = refine(_resolve_structure(args.structure), args.level)
     w = field_from_spec(ref.net, args.field)
     dec = hodge_decompose(ref.net, w)
     basis = cycle_basis(ref.net)
@@ -652,9 +651,8 @@ def cmd_solve(args) -> int:
     rhs = _parse_rhs(args.rhs, ref.net.vertex_count)
     if args.export_matrix:
         _require_dense(ref)  # the export writes the matrix densely
-    u = dirichlet_solve(ref.net, model, mu, pinned, rhs)
-
-    asm = assemble(ref.net, model, mu, boundary="neumann")
+    asm = assemble(ref.net, model, mu)
+    u = dirichlet_solve(asm, pinned, rhs)
     residual_vec = asm.matrix @ u - asm.mass * np.asarray(rhs, dtype=np.complex128)
     free = np.setdiff1d(np.arange(ref.net.vertex_count), np.asarray(pinned, dtype=np.intp))
     residual = float(np.max(np.abs(residual_vec[free]))) if free.size else 0.0
@@ -787,9 +785,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("hodge", help="decompose an edge field into exact and coulomb parts")
-    _add_common(p)
+    p.add_argument("--structure", required=True, help="structure JSON path or bundled name")
+    p.add_argument("--level", required=True, type=int, help="refinement level (>= 0)")
     p.add_argument("--field", default="random:0", help="edge field spec")
     p.add_argument("--tol", type=tolerance, default=1e-10, help="relative tolerance for the residual checks")
+    p.add_argument("--output", default=None)
     p.set_defaults(
         func=cmd_hodge,
         config_keys=("structure", "level", "field", "tol"),

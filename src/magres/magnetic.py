@@ -155,8 +155,8 @@ class MagneticAssembly:
     ``symmetrized``, the one dense form, computes ``M^{-1/2} matrix M^{-1/2}``
     for the diagonal mass matrix ``M`` on each access, scaling the densified
     matrix in place ``DENSE_BLOCK`` rows at a time; ``kept`` maps its rows
-    back to vertices of the parent network (a proper subset under Dirichlet
-    boundary conditions).
+    back to vertices of the network (every vertex for the Neumann form that
+    ``assemble`` builds, a proper subset after ``restrict``).
     """
 
     matrix: scipy.sparse.csr_matrix
@@ -172,46 +172,44 @@ class MagneticAssembly:
             H[rows] *= np.outer(scale[rows], scale)
         return H
 
+    def restrict(self, pinned: Sequence[int]) -> MagneticAssembly:
+        """The Dirichlet form: this assembly without the rows and columns of ``pinned``.
 
-def assemble(
-    net: ResistanceNetwork,
-    model: MagneticModel,
-    mu,
-    boundary="neumann",
-) -> MagneticAssembly:
-    """Assemble the (restricted) magnetic energy matrix and its mass vector.
+        ``pinned`` indexes the rows of this assembly (the network's vertices
+        for a Neumann assembly); the result's ``kept`` maps back to network
+        vertices.  A pinned set that is empty, out of range or covers every
+        row raises ``ValueError``.
+        """
+        n = self.mass.size
+        pinned = np.asarray(sorted({int(v) for v in pinned}), dtype=np.int64)
+        if pinned.size == 0:
+            raise ValueError("dirichlet boundary set is empty")
+        if pinned[0] < 0 or pinned[-1] >= n:
+            raise ValueError("dirichlet boundary set out of range")
+        if pinned.size == n:
+            raise ValueError("dirichlet boundary set leaves no free vertex")
+        kept = np.setdiff1d(np.arange(n, dtype=np.int64), pinned)
+        return MagneticAssembly(
+            matrix=self.matrix[kept][:, kept], mass=self.mass[kept], kept=self.kept[kept]
+        )
 
-    ``boundary`` is ``"neumann"`` (keep everything) or a pair ``("dirichlet",
-    vertex_indices)`` deleting the rows and columns of the given vertices;
-    any other spec, or a pinned set that is empty, out of range or covers
-    every vertex, raises ``ValueError``.
+
+def assemble(net: ResistanceNetwork, model: MagneticModel, mu) -> MagneticAssembly:
+    """Assemble the Neumann magnetic energy matrix and its mass vector.
+
+    Boundary conditions are restrictions of this one form
+    (:meth:`MagneticAssembly.restrict`).  A field large enough to overflow
+    the matrix entries raises ``ValueError``.
     """
     k_tail, k_head = _edge_coefficients(net, model)
     mass = _mass_vector(net, mu)
-    n = net.vertex_count
     c = net.conductances
-    A = _edge_matrix(net, c * (k_tail.real**2 + k_tail.imag**2),
-                     c * (k_head.real**2 + k_head.imag**2), c * np.conj(k_tail) * k_head)
-    if boundary == "neumann":
-        kept = np.arange(n, dtype=np.int64)
-    else:
-        try:
-            kind, dirichlet = boundary
-        except (TypeError, ValueError):
-            raise ValueError(f"unknown boundary condition {boundary!r}")
-        if kind != "dirichlet":
-            raise ValueError(f"unknown boundary condition {kind!r}")
-        dirichlet = np.asarray(sorted({int(v) for v in dirichlet}), dtype=np.int64)
-        if dirichlet.size == 0:
-            raise ValueError("dirichlet boundary set is empty")
-        if dirichlet[0] < 0 or dirichlet[-1] >= n:
-            raise ValueError("dirichlet boundary set out of range")
-        if dirichlet.size == n:
-            raise ValueError("dirichlet boundary set leaves no free vertex")
-        kept = np.setdiff1d(np.arange(n, dtype=np.int64), dirichlet)
-        A = A[kept][:, kept]
-        mass = mass[kept]
-    return MagneticAssembly(matrix=A, mass=mass, kept=kept)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = _edge_matrix(net, c * (k_tail.real**2 + k_tail.imag**2),
+                         c * (k_head.real**2 + k_head.imag**2), c * np.conj(k_tail) * k_head)
+    if not np.all(np.isfinite(A.data)):
+        raise ValueError("magnetic field overflows the assembled matrix: entries are not finite")
+    return MagneticAssembly(matrix=A, mass=mass, kept=np.arange(net.vertex_count, dtype=np.int64))
 
 
 def gauge_transform(net: ResistanceNetwork, model: MagneticModel, lam) -> MagneticModel:
@@ -263,7 +261,7 @@ def zero_mode_test(
     """
     from .spectral import hermitian_eigs
 
-    asm = assemble(net, model, mu, boundary="neumann")
+    asm = assemble(net, model, mu)
     w, V = hermitian_eigs(asm.symmetrized)
     ground = float(w[0])
     f0 = V[:, 0] / np.sqrt(asm.mass)
@@ -331,24 +329,23 @@ def locality_check(
     return LocalityReport(True, 0, value, scale, passed)
 
 
-def dirichlet_solve(
-    net: ResistanceNetwork,
-    model: MagneticModel,
-    mu,
-    dirichlet: Sequence[int],
-    rhs,
-) -> np.ndarray:
+def dirichlet_solve(asm: MagneticAssembly, dirichlet: Sequence[int], rhs) -> np.ndarray:
     """Solve the magnetic equation off a pinned set and extend by zero.
 
-    Solves ``A_cc u_c = (M rhs)_c`` by sparse LU, where ``A`` is the Neumann
-    assembly restricted to the complement of ``dirichlet`` and ``M`` the mass
-    matrix; the returned function vanishes on the pinned set.  For an exact
-    field ``d lambda`` (peierls) the solution is ``e^{-i lambda}`` times the
-    non-magnetic solution for ``e^{i lambda} rhs``.
+    ``asm`` is the Neumann assembly.  Solves ``A_cc u_c = (M rhs)_c`` by
+    sparse LU, where ``A_cc`` is ``asm`` restricted to the complement of
+    ``dirichlet`` and ``M`` the mass matrix; the returned function vanishes
+    on the pinned set.  For an exact field ``d lambda`` (peierls) the
+    solution is ``e^{-i lambda}`` times the non-magnetic solution for
+    ``e^{i lambda} rhs``.
     """
-    rhs = np.asarray(net._check_vertex_values(rhs), dtype=np.complex128)
-    asm = assemble(net, model, mu, boundary=("dirichlet", dirichlet))
-    u = np.zeros(net.vertex_count, dtype=np.complex128)
-    solve = _interior_solver(asm.matrix, "dirichlet block is singular")
-    u[asm.kept] = solve(asm.mass * rhs[asm.kept])
+    n = asm.mass.size
+    rhs = np.asarray(rhs)
+    if rhs.shape != (n,):
+        raise NetworkError(f"vertex function has shape {rhs.shape}, expected ({n},)")
+    rhs = rhs.astype(np.complex128)
+    block = asm.restrict(dirichlet)
+    u = np.zeros(n, dtype=np.complex128)
+    solve = _interior_solver(block.matrix, "dirichlet block is singular")
+    u[block.kept] = solve(block.mass * rhs[block.kept])
     return u

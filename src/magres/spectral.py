@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .magnetic import DENSE_BLOCK, MagneticModel, assemble
+from .magnetic import DENSE_BLOCK, MagneticAssembly, MagneticModel, assemble
 from .oneforms import cycle_basis, cycle_field, field_from_spec
 from .selfsimilar import PCFStructure, Refinement, refine, vertex_measure
 
@@ -54,7 +54,7 @@ def hermitian_eigs(H: np.ndarray, compute_vectors: bool = True):
     """Checked dense Hermitian eigendecomposition, eigenvalues ascending.
 
     Rejects inputs whose Hermiticity defect exceeds ``HERMITICITY_TOL``
-    relative to the largest entry.  When eigenvectors are computed it also
+    relative to the largest entry, or is NaN, as for any non-finite input.  When eigenvectors are computed it also
     enforces the residual bound ``max |H v - w v| <= RESIDUAL_TOL * max(1,
     |w|_max)`` and orthonormality of the eigenvector columns.
 
@@ -79,7 +79,7 @@ def hermitian_eigs(H: np.ndarray, compute_vectors: bool = True):
         Hs[:, cols] = 0.5 * (a + b)
     scale = max(1.0, float(np.max(peaks, initial=0.0)))
     defect = float(np.max(defects, initial=0.0))
-    if defect > HERMITICITY_TOL * scale:
+    if not defect <= HERMITICITY_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} at scale {scale:.3e}")
     if not compute_vectors:
         w = scipy.linalg.eigh(Hs, eigvals_only=True, overwrite_a=True, check_finite=False)
@@ -117,7 +117,6 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     metadata: dict = dataclass_field(default_factory=dict)
-    eigenvectors: np.ndarray | None = None
     matrix: scipy.sparse.csr_matrix | None = None
 
     def __post_init__(self):
@@ -147,9 +146,12 @@ def renormalization_base(s: PCFStructure) -> float:
     return float(np.exp(np.mean([np.log(float(m.r)) for m in s.maps])))
 
 
-def _resolve_boundary(ref: Refinement, boundary):
-    """Spell ``"dirichlet"`` out as the pair pinning the structure's boundary set."""
-    return ("dirichlet", ref.boundary) if boundary == "dirichlet" else boundary
+def _boundary_assembly(ref: Refinement, model: MagneticModel, mu, boundary: str) -> MagneticAssembly:
+    """The Neumann assembly, restricted off the structure's boundary set under ``"dirichlet"``."""
+    if boundary not in ("neumann", "dirichlet"):
+        raise ValueError(f"unknown boundary condition {boundary!r}; expected 'neumann' or 'dirichlet'")
+    asm = assemble(ref.net, model, mu)
+    return asm.restrict(ref.boundary) if boundary == "dirichlet" else asm
 
 
 def spectrum(
@@ -158,8 +160,7 @@ def spectrum(
     model="peierls",
     field="zero",
     measure=None,
-    boundary="neumann",
-    want_vectors: bool = False,
+    boundary: str = "neumann",
     renormalization: float = 1.0,
 ) -> SpectrumReport:
     """Spectrum of the magnetic operator at one refinement level.
@@ -174,22 +175,18 @@ def spectrum(
     arr = field_from_spec(ref.net, field) if isinstance(field, str) else np.asarray(field, dtype=np.float64)
     mod = MagneticModel(kind=str(model), field=arr)
     _require_dense(ref)  # after the measure and field, so bad input is reported first
-    asm = assemble(ref.net, mod, mu, _resolve_boundary(ref, boundary))
+    asm = _boundary_assembly(ref, mod, mu, boundary)
     metadata = {
         "structure": s.name or "unnamed",
         "level": int(level),
         "model": mod.kind,
-        "boundary": boundary if isinstance(boundary, str) else "dirichlet",
+        "boundary": boundary,
         "measure": "structure" if measure is None else str(measure),
         "field": field if isinstance(field, str) else "array",
         "vertices": int(ref.net.vertex_count),
         "kept": int(asm.kept.size),
         "renormalization": float(renormalization),
     }
-    if want_vectors:
-        w, V = hermitian_eigs(asm.symmetrized)
-        vectors = V / np.sqrt(asm.mass)[:, None]
-        return SpectrumReport(w * renormalization, metadata, vectors, asm.matrix)
     w = hermitian_eigs(asm.symmetrized, compute_vectors=False)
     return SpectrumReport(w * renormalization, metadata, matrix=asm.matrix)
 
@@ -231,14 +228,11 @@ def flux_sweep(
     basis = cycle_basis(ref.net)
     unit = cycle_field(ref.net, int(cycle_index), 1.0, basis=basis)
     _require_dense(ref)  # after the cycle, so bad input is reported first
-    bnd = _resolve_boundary(ref, boundary)
 
+    models = (MagneticModel(kind=model, field=t * unit) for t in fluxes)
     rows = [
-        hermitian_eigs(
-            assemble(ref.net, MagneticModel(kind=model, field=t * unit), mu, bnd).symmetrized,
-            compute_vectors=False,
-        )
-        for t in fluxes
+        hermitian_eigs(_boundary_assembly(ref, m, mu, boundary).symmetrized, compute_vectors=False)
+        for m in models
     ]
     k_eff = rows[0].size if k is None else min(int(k), rows[0].size)
     table = np.vstack([row[:k_eff] for row in rows])

@@ -588,6 +588,14 @@ def test_zero_mode_half_flux_consistent(capsys):
     assert doc["report"]["ground_energy"] > 1e-3
 
 
+def test_hodge_has_no_measure_option(capsys):
+    # the splitting does not depend on a vertex measure, so none is accepted
+    with pytest.raises(SystemExit) as exc:
+        main(["hodge", "--structure", "gasket", "--level", "1", "--measure", "0.9,0.05,0.05"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--measure" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -608,6 +616,26 @@ def test_solve_boundary_pinned(capsys):
     for i in rep["dirichlet"]:
         assert values[i] == [0.0, 0.0]  # pinned ends stay zero
     assert rep["labels"] == ["L", "R"]
+
+
+def test_solve_assembles_once(tmp_path, monkeypatch, capsys):
+    # the Dirichlet block, the residual, its scale and the export all come from one assembly
+    assemble = magres.magnetic.assemble
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    for module in (magres.cli, magres.magnetic):
+        monkeypatch.setattr(module, "assemble", counted)
+    code = main(
+        ["solve", "--structure", "gasket", "--level", "3", "--model", "peierls", "--field", "random:4",
+         "--dirichlet", "boundary", "--rhs", "delta:7", "--export-matrix", str(tmp_path / "m.json")]
+    )
+    capsys.readouterr()
+    assert code == EXIT_PASS
+    assert len(calls) == 1
 
 
 def test_solve_rhs_file_with_complex_pairs(tmp_path, capsys):
@@ -650,6 +678,22 @@ def test_solve_bad_rhs_exits_2(capsys):
 def test_non_finite_input_exits_2(argv, capsys):
     assert main(argv) == EXIT_INPUT
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--structure", "gasket", "--level", "1", "--model", "linearized",
+         "--field", "constant:1e200"],
+        ["solve", "--structure", "gasket", "--level", "1", "--model", "linearized",
+         "--field", "constant:1e200", "--dirichlet", "boundary", "--rhs", "delta:3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_overflowing_field_exits_2(argv, capsys):
+    # a finite field whose squared amplitudes overflow is refused as input, without numpy warnings
+    assert main(argv) == EXIT_INPUT
+    assert "overflows the assembled matrix" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "[1.0, NaN]"])

@@ -8,6 +8,7 @@ import pytest
 import magres.magnetic
 from magres import (
     MagneticModel,
+    NetworkError,
     ResistanceNetwork,
     assemble,
     b_form_terms,
@@ -153,8 +154,8 @@ def test_symmetrized_bitwise_equal_to_outer_product_scaling(monkeypatch, name, l
     mu = vertex_measure(ref)
     field = field_from_spec(ref.net, "random:7")
     for kind in ("linearized", "peierls"):
-        for boundary in ("neumann", ("dirichlet", ref.boundary)):
-            asm = assemble(ref.net, MagneticModel(kind=kind, field=field), mu, boundary)
+        neumann = assemble(ref.net, MagneticModel(kind=kind, field=field), mu)
+        for asm in (neumann, neumann.restrict(ref.boundary)):
             s = 1.0 / np.sqrt(asm.mass)
             assert np.array_equal(asm.symmetrized, asm.matrix.toarray() * np.outer(s, s))
 
@@ -199,10 +200,42 @@ def test_assembly_psd():
 def test_dirichlet_assembly_removes_rows():
     net = ResistanceNetwork.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
     model = MagneticModel(kind="peierls", field=np.zeros(2))
-    asm = assemble(net, model, np.ones(3), boundary=("dirichlet", [0, 2]))
+    asm = assemble(net, model, np.ones(3)).restrict([0, 2])
     assert asm.matrix.shape == (1, 1)
     assert asm.matrix[0, 0] == pytest.approx(2.0)
     assert list(asm.kept) == [1]
+
+
+@pytest.mark.parametrize(
+    "pinned, message",
+    [([], "is empty"), ([3], "out of range"), ([-1], "out of range"), ([0, 1, 2], "leaves no free vertex")],
+)
+def test_restrict_rejects_bad_pinned_sets(pinned, message):
+    net = ResistanceNetwork.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    asm = assemble(net, MagneticModel(kind="peierls", field=np.zeros(2)), np.ones(3))
+    with pytest.raises(ValueError, match=f"dirichlet boundary set {message}"):
+        asm.restrict(pinned)
+
+
+def test_restrict_maps_kept_back_to_network_vertices():
+    rng = np.random.default_rng(16)
+    net = random_connected_network(rng, 8)
+    model = MagneticModel(kind="peierls", field=rng.standard_normal(net.edge_count))
+    asm = assemble(net, model, np.ones(8))
+    inner_block = asm.restrict([0, 5]).restrict([1])  # row 1 of the first restriction is vertex 2
+    assert list(inner_block.kept) == [1, 3, 4, 6, 7]
+    assert np.array_equal(inner_block.matrix.toarray(), asm.restrict([0, 2, 5]).matrix.toarray())
+
+
+@pytest.mark.parametrize("kind", ["linearized", "peierls"])
+def test_assembly_refuses_overflowing_field(kind):
+    net = three_cycle()
+    model = MagneticModel(kind=kind, field=np.full(3, 1e200))
+    if kind == "linearized":
+        with pytest.raises(ValueError, match="overflows"):
+            assemble(net, model, np.ones(3))
+    else:  # peierls phases stay on the unit circle
+        assert np.all(np.isfinite(assemble(net, model, np.ones(3)).matrix.data))
 
 
 def test_assembly_rejects_nonpositive_mass():
@@ -357,7 +390,7 @@ def test_locality_on_gasket_cells(gasket):
 def test_dirichlet_solve_zero_rhs_is_zero():
     net = three_cycle()
     model = MagneticModel(kind="peierls", field=np.array([0.3, 0.1, -0.2]))
-    u = dirichlet_solve(net, model, np.ones(3), [0], np.zeros(3))
+    u = dirichlet_solve(assemble(net, model, np.ones(3)), [0], np.zeros(3))
     assert np.max(np.abs(u)) == 0.0
 
 
@@ -366,7 +399,7 @@ def test_dirichlet_solve_midpoint_green_value():
     net = ResistanceNetwork.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
     model = MagneticModel(kind="peierls", field=np.zeros(2))
     rhs = np.array([0.0, 1.0, 0.0])
-    u = dirichlet_solve(net, model, np.ones(3), [0, 2], rhs)
+    u = dirichlet_solve(assemble(net, model, np.ones(3)), [0, 2], rhs)
     assert u[0] == 0.0 and u[2] == 0.0
     assert u[1] == pytest.approx(0.5, rel=1e-12)
 
@@ -375,7 +408,7 @@ def test_dirichlet_solve_scales_with_mass():
     net = ResistanceNetwork.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
     model = MagneticModel(kind="peierls", field=np.zeros(2))
     rhs = np.array([0.0, 1.0, 0.0])
-    u = dirichlet_solve(net, model, np.full(3, 0.25), [0, 2], rhs)
+    u = dirichlet_solve(assemble(net, model, np.full(3, 0.25)), [0, 2], rhs)
     assert u[1] == pytest.approx(0.125, rel=1e-12)
 
 
@@ -389,9 +422,9 @@ def test_dirichlet_solve_exact_field_conjugation(gasket):
     pinned = list(ref.boundary)
     magnetic = MagneticModel(kind="peierls", field=derivation(ref.net, lam))
     plain = MagneticModel(kind="peierls", field=np.zeros(ref.net.edge_count))
-    u_mag = dirichlet_solve(ref.net, magnetic, mu, pinned, rhs)
+    u_mag = dirichlet_solve(assemble(ref.net, magnetic, mu), pinned, rhs)
     u_conj = np.exp(-1j * lam) * dirichlet_solve(
-        ref.net, plain, mu, pinned, np.exp(1j * lam) * rhs
+        assemble(ref.net, plain, mu), pinned, np.exp(1j * lam) * rhs
     )
     assert np.max(np.abs(u_mag - u_conj)) < 1e-9 * max(1.0, np.max(np.abs(u_mag)))
 
@@ -400,7 +433,14 @@ def test_dirichlet_solve_requires_nonempty_pinned_set():
     net = unit_edge()
     model = MagneticModel(kind="peierls", field=np.zeros(1))
     with pytest.raises(ValueError):
-        dirichlet_solve(net, model, np.ones(2), [], np.ones(2))
+        dirichlet_solve(assemble(net, model, np.ones(2)), [], np.ones(2))
+
+
+def test_dirichlet_solve_rejects_misshapen_rhs():
+    net = three_cycle()
+    asm = assemble(net, MagneticModel(kind="peierls", field=np.zeros(3)), np.ones(3))
+    with pytest.raises(NetworkError, match="expected \\(3,\\)"):
+        dirichlet_solve(asm, [0], np.ones(4))
 
 
 def test_dirichlet_solve_residual_identity():
@@ -410,8 +450,8 @@ def test_dirichlet_solve_residual_identity():
     model = MagneticModel(kind="peierls", field=rng.standard_normal(net.edge_count))
     rhs = rng.standard_normal(9)
     pinned = [0, 4]
-    u = dirichlet_solve(net, model, mu, pinned, rhs)
     asm = assemble(net, model, mu)
+    u = dirichlet_solve(asm, pinned, rhs)
     res = asm.matrix @ u - mu * rhs
     free = [v for v in range(9) if v not in pinned]
     assert np.max(np.abs(res[free])) < 1e-10 * max(1.0, np.max(np.abs(mu * rhs)))

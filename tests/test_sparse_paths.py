@@ -123,10 +123,28 @@ def test_assembly_matches_dense_scatter(name, level, kind, dirichlet):
     model = MagneticModel(kind=kind, field=np.random.default_rng(level).standard_normal(net.edge_count))
     mu = vertex_measure(ref)
     kept = np.setdiff1d(np.arange(net.vertex_count), ref.boundary) if dirichlet else None
-    boundary = ("dirichlet", ref.boundary) if dirichlet else "neumann"
-    asm = assemble(net, model, mu, boundary)
+    asm = assemble(net, model, mu)
+    if dirichlet:
+        asm = asm.restrict(ref.boundary)
     assert scipy.sparse.issparse(asm.matrix)
     assert np.array_equal(asm.matrix.toarray(), dense_assembly(net, model, kept))
+
+
+@pytest.mark.parametrize("name", ["interval", "circle", "gasket"])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["linearized", "peierls"])
+def test_restrict_matches_dense_oracle(name, level, kind):
+    # the Dirichlet block is a principal submatrix of the one Neumann assembly, bitwise
+    ref = refine(bundled_structure(name), level)
+    net = ref.net
+    model = MagneticModel(kind=kind, field=np.random.default_rng(level).standard_normal(net.edge_count))
+    mu = vertex_measure(ref).mass
+    kept = np.setdiff1d(np.arange(net.vertex_count), ref.boundary)
+    asm = assemble(net, model, mu).restrict(ref.boundary)
+    assert scipy.sparse.issparse(asm.matrix)
+    assert np.array_equal(asm.matrix.toarray(), dense_assembly(net, model, kept))
+    assert np.array_equal(asm.mass, mu[kept])
+    assert np.array_equal(asm.kept, kept)
 
 
 @pytest.mark.parametrize("kind", ["linearized", "peierls"])
@@ -137,7 +155,7 @@ def test_dirichlet_solve_matches_dense_solve(kind):
     model = MagneticModel(kind=kind, field=rng.standard_normal(net.edge_count))
     mu = vertex_measure(ref).mass
     rhs = rng.standard_normal(net.vertex_count) + 1j * rng.standard_normal(net.vertex_count)
-    u = dirichlet_solve(net, model, mu, ref.boundary, rhs)
+    u = dirichlet_solve(assemble(net, model, mu), ref.boundary, rhs)
     free = np.setdiff1d(np.arange(net.vertex_count), ref.boundary)
     expected = np.zeros(net.vertex_count, dtype=np.complex128)
     expected[free] = scipy.linalg.solve(

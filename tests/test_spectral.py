@@ -9,10 +9,13 @@ import pytest
 import scipy.linalg
 
 from magres import (
+    MagneticModel,
     SpectralError,
     SpectrumReport,
+    assemble,
     compare_spectra,
     convergence_table,
+    field_from_spec,
     flux_sweep,
     hermitian_eigs,
     refine,
@@ -61,6 +64,16 @@ def test_eigs_diagonal_sorted():
 def test_eigs_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("compute_vectors", [False, True])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_eigs_rejects_nan_input(compute_vectors, entry):
+    # a NaN defect fails the Hermiticity test instead of reaching LAPACK unchecked
+    H = np.eye(3)
+    H[entry] = H[entry[::-1]] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigs(H, compute_vectors=compute_vectors)
 
 
 def test_eigs_rejects_non_square():
@@ -163,13 +176,22 @@ def test_spectrum_report_invariants():
 # spectrum pipeline
 
 
+def spectrum_with_vectors(s, level, field):
+    """Neumann peierls eigenpairs ``A v = w M v`` of ``spectrum``'s assembly, with ``v = V / sqrt(mass)``."""
+    ref = refine(s, level)
+    model = MagneticModel(kind="peierls", field=field_from_spec(ref.net, field))
+    asm = assemble(ref.net, model, vertex_measure(ref))
+    w, V = hermitian_eigs(asm.symmetrized)
+    return w, V / np.sqrt(asm.mass)[:, None]
+
+
 def test_interval_zero_field_has_single_zero_mode(interval):
-    rep = spectrum(interval, 3, field="zero", want_vectors=True)
-    w = rep.eigenvalues
+    w, vectors = spectrum_with_vectors(interval, 3, "zero")
+    assert np.allclose(w, spectrum(interval, 3, field="zero").eigenvalues, rtol=0.0, atol=1e-12 * w[-1])
     assert w.size == 9
     assert abs(w[0]) < 1e-9
     assert w[1] > 1.0  # spectral gap
-    v0 = rep.eigenvectors[:, 0]
+    v0 = vectors[:, 0]
     assert np.max(np.abs(v0 - np.mean(v0))) < 1e-9 * np.max(np.abs(v0))
 
 
@@ -191,6 +213,15 @@ def test_dirichlet_spectrum_is_positive_and_interlaced(interval):
     assert diri.eigenvalues[0] >= neu.eigenvalues[0] - 1e-12
 
 
+@pytest.mark.parametrize("boundary", ["robin", ("dirichlet", (0, 1))], ids=["robin", "pinned-pair"])
+def test_unknown_boundary_is_refused(gasket, boundary):
+    # only the two names are accepted; the old ("dirichlet", vertices) pair is not
+    with pytest.raises(ValueError, match="unknown boundary condition"):
+        spectrum(gasket, 1, boundary=boundary)
+    with pytest.raises(ValueError, match="unknown boundary condition"):
+        flux_sweep(gasket, 1, 0, [0.0], boundary=boundary)
+
+
 def test_spectrum_metadata(gasket):
     rep = spectrum(gasket, 2, model="peierls", field="zero")
     md = rep.metadata
@@ -205,15 +236,13 @@ def test_spectrum_metadata(gasket):
 def test_spectrum_eigenvectors_diagonalise_quotient(gasket):
     # columns solve the generalised problem A v = w M v after the mass unmap
     ref = refine(gasket, 1)
-    rep = spectrum(gasket, 1, field="constant:0.3", want_vectors=True)
-    from magres import MagneticModel, assemble, field_from_spec
-
+    eigenvalues, vectors = spectrum_with_vectors(gasket, 1, "constant:0.3")
     mu = vertex_measure(ref)
     model = MagneticModel(kind="peierls", field=field_from_spec(ref.net, "constant:0.3"))
     asm = assemble(ref.net, model, mu)
     for j in (0, 2, 5):
-        v = rep.eigenvectors[:, j]
-        w = rep.eigenvalues[j]
+        v = vectors[:, j]
+        w = eigenvalues[j]
         res = asm.matrix @ v - w * (asm.mass * v)
         assert np.max(np.abs(res)) < 1e-9 * max(1.0, abs(w))
 
