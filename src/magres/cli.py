@@ -54,13 +54,12 @@ from .selfsimilar import (
 )
 from .spectral import (
     SpectralError,
-    _boundary_assembly,
+    _boundary_spectrum,
     _require_dense,
     compare_spectra,
     convergence_table,
     flux_sweep,
-    hermitian_eigs,
-    renormalization_base,
+    hermitian_eigs,  # not called here: perfbench's tracer and tests reach the eigensolver through this module
     spectrum,
 )
 from .measure_audit import MIN_KLMN_M, full_audit
@@ -70,6 +69,9 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 BUNDLED_NAMES = ("interval", "circle", "gasket")
+
+#: Parsed arguments that a report's ``config`` leaves out (see `_emit`).
+UNECHOED = frozenset({"command", "func", "output", "export_matrix"})
 
 TWO_PI = 2.0 * np.pi
 
@@ -137,14 +139,17 @@ def _csv_table(args, report: dict) -> str:
 def _emit(args, verdict: str, report: dict) -> int:
     """Write the report to ``--output`` or stdout; map the verdict to an exit code.
 
-    The echoed configuration holds the arguments named by the subcommand's
-    ``config_keys``, in that order.  ``--format csv`` writes the eigenvalue
-    table instead of the JSON envelope.
+    The echoed configuration holds every option of the subcommand, in the
+    order the parser declares them, except those in ``UNECHOED``: the
+    command and its handler (the envelope names the command) and the
+    ``--output`` and ``--export-matrix`` paths, which say where results go,
+    not what was computed.  ``--format csv`` writes the eigenvalue table
+    instead of the JSON envelope.
     """
     if getattr(args, "format", "json") == "csv":
         text = _csv_table(args, report)
     else:
-        config = _py({key: getattr(args, key) for key in args.config_keys})
+        config = _py({key: value for key, value in vars(args).items() if key not in UNECHOED})
         canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
         text = _dump_json({
             "tool": "magres",
@@ -247,6 +252,9 @@ def _parse_vertex_set(text: str, ref) -> list[int]:
             raise InputError(f"{text}: malformed JSON: {exc}") from exc
         if not isinstance(data, list):
             raise InputError(f"{text}: expected a JSON list of vertex indices")
+        for v in data:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise InputError(f"{text}: vertex index {json.dumps(v)} is not an integer")
         indices = data
     else:
         try:
@@ -363,16 +371,14 @@ def cmd_build(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    s = _resolve_structure(args.structure)
-    factor = renormalization_base(s) ** args.level if args.renormalize else 1.0
     rep = spectrum(
-        s,
+        _resolve_structure(args.structure),
         args.level,
         model=args.model,
         field=args.field,
         measure=args.measure,
         boundary=args.boundary,
-        renormalization=factor,
+        renormalize=args.renormalize,
     )
     if args.export_matrix:
         _export_matrix(args.export_matrix, rep.matrix)
@@ -456,6 +462,8 @@ def cmd_audit(args) -> int:
         args.field = f"random:{args.seed}"
     s, ref, mu = _prepare(args)
     a = field_from_spec(ref.net, args.field)
+    radii = _parse_radii(args.radii)
+    _require_dense(ref)  # the audit builds the dense resistance matrix
     rep = full_audit(
         ref.net,
         mu,
@@ -463,7 +471,7 @@ def cmd_audit(args) -> int:
         M=float(args.M),
         trials=int(args.trials),
         seed=int(args.seed),
-        radii=_parse_radii(args.radii),
+        radii=radii,
         ball_count=int(args.balls),
         poincare_trials=int(args.poincare_trials),
         tol=float(args.tol),
@@ -495,13 +503,11 @@ def cmd_gauge_check(args) -> int:
         args.field = f"random:{args.seed}"
     s, ref, mu = _prepare(args)
     base_field = field_from_spec(ref.net, args.field)
-    _require_dense(ref)  # after the field, so bad input is reported first
     rng = np.random.default_rng(int(args.seed))
     lams = [rng.standard_normal(ref.net.vertex_count) for _ in range(int(args.count))]
 
     def eigs_of(model: MagneticModel) -> np.ndarray:
-        asm = _boundary_assembly(ref, model, mu, args.boundary)
-        return hermitian_eigs(asm.symmetrized, compute_vectors=False)
+        return _boundary_spectrum(ref, model, mu, args.boundary)[0]
 
     if args.model == "peierls":
         base = MagneticModel(kind="peierls", field=base_field)
@@ -678,8 +684,11 @@ def cmd_solve(args) -> int:
 def _add_common(p):
     p.add_argument("--structure", required=True, help="structure JSON path or bundled name (interval, circle, gasket)")
     p.add_argument("--level", required=True, type=int, help="refinement level (>= 0)")
-    p.add_argument("--measure", default="structure", help="per-map weights: 'structure', 'uniform', or comma-separated values (rationals like 1/3 allowed)")
     p.add_argument("--output", default=None, help="write the report to this file instead of stdout")
+
+
+def _add_measure(p):
+    p.add_argument("--measure", default="structure", help="per-map weights: 'structure', 'uniform', or comma-separated values (rationals like 1/3 allowed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -692,42 +701,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="write refined network, measure, and cell files")
     _add_common(p)
+    _add_measure(p)
     p.add_argument("--out-dir", default=".", help="directory for the emitted files")
     p.add_argument("--prefix", default=None, help="file name prefix (default: <structure>-L<level>)")
     p.add_argument("--tol", type=tolerance, default=1e-10, help="refinement compatibility tolerance")
     p.add_argument("--skip-check", action="store_true", help="skip the level-(n+1) compatibility check")
-    p.set_defaults(
-        func=cmd_build,
-        config_keys=("structure", "level", "measure", "out_dir", "prefix", "tol", "skip_check"),
-    )
+    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the magnetic operator at one level")
     _add_common(p)
     p.add_argument("--model", required=True, choices=["linearized", "peierls"], help="magnetic model")
     p.add_argument("--field", default="zero", help="edge field spec: zero | constant:<t> | random:<seed> | cycle:<i>:<t>")
+    _add_measure(p)
     p.add_argument("--boundary", choices=["neumann", "dirichlet"], default="neumann")
     p.add_argument("--k", type=positive_int, default=None, help="report only the first k eigenvalues")
     p.add_argument("--renormalize", action="store_true", help="scale eigenvalues by (geometric mean of r)^level")
     p.add_argument("--export-matrix", default=None, help="also write the assembled matrix as JSON ([re, im] pairs, row-major)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(
-        func=cmd_spectrum,
-        config_keys=("structure", "level", "model", "field", "measure", "boundary", "k", "renormalize", "format"),
-    )
+    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("flux-sweep", help="spectra over a grid of fluxes through one cycle")
     _add_common(p)
     p.add_argument("--model", required=True, choices=["peierls"], help="magnetic model (flux quantization is exact only for peierls)")
     p.add_argument("--cycle", type=int, default=0, help="fundamental cycle index")
     p.add_argument("--grid", required=True, help="flux grid start:stop:count (stop inclusive); write a negative start as --grid=-3:3:5")
+    _add_measure(p)
     p.add_argument("--boundary", choices=["neumann", "dirichlet"], default="neumann")
     p.add_argument("--k", type=positive_int, default=None, help="keep only the first k eigenvalues per flux")
     p.add_argument("--tol", type=tolerance, default=1e-8, help="tolerance for periodicity/symmetry row agreement")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(
-        func=cmd_flux_sweep,
-        config_keys=("structure", "level", "model", "cycle", "grid", "measure", "boundary", "k", "tol", "format"),
-    )
+    p.set_defaults(func=cmd_flux_sweep)
 
     p = sub.add_parser("converge", help="low eigenvalues across refinement levels")
     p.add_argument("--structure", required=True, help="structure JSON path or bundled name")
@@ -735,18 +738,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=positive_int, default=5, help="eigenvalues per level")
     p.add_argument("--model", required=True, choices=["linearized", "peierls"])
     p.add_argument("--field", default="zero", help="edge field spec (re-realized per level)")
-    p.add_argument("--measure", default="structure")
+    _add_measure(p)
     p.add_argument("--boundary", choices=["neumann", "dirichlet"], default="neumann")
     p.add_argument("--renormalize", action="store_true", help="scale level-n eigenvalues by (geometric mean of r)^n")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default=None)
-    p.set_defaults(
-        func=cmd_converge,
-        config_keys=("structure", "levels", "k", "model", "field", "measure", "boundary", "renormalize", "format"),
-    )
+    p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("audit", help="measure, Poincaré, sup-norm, and form-bound audits")
     _add_common(p)
+    _add_measure(p)
     p.add_argument("--field", default=None, help="edge field spec (default: random:<seed>)")
     p.add_argument("--M", type=float, default=8.0, help="margin parameter; must exceed 20/3")
     p.add_argument("--trials", type=positive_int, default=200, help="random trial functions per audit")
@@ -755,23 +756,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poincare-trials", type=positive_int, default=5, help="random functions for the Poincaré check")
     p.add_argument("--radii", default=None, help="comma-separated radii (default: dyadic fractions of the diameter)")
     p.add_argument("--tol", type=tolerance, default=1e-9, help="relative slack for inequality checks")
-    p.set_defaults(
-        func=cmd_audit,
-        config_keys=("structure", "level", "measure", "field", "M", "trials", "seed", "balls", "poincare_trials", "radii", "tol"),
-    )
+    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("gauge-check", help="spectral invariance under gauge transformations")
     _add_common(p)
     p.add_argument("--model", required=True, choices=["linearized", "peierls"])
     p.add_argument("--field", default=None, help="base field spec (default: random:<seed>)")
+    _add_measure(p)
     p.add_argument("--boundary", choices=["neumann", "dirichlet"], default="neumann")
     p.add_argument("--count", type=positive_int, default=5, help="number of random gauge potentials")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--tol", type=tolerance, default=1e-9)
-    p.set_defaults(
-        func=cmd_gauge_check,
-        config_keys=("structure", "level", "model", "field", "measure", "boundary", "count", "seed", "tol"),
-    )
+    p.set_defaults(func=cmd_gauge_check)
 
     p = sub.add_parser("trace-check", help="Schur-trace consistency across refinement levels")
     p.add_argument("--structure", required=True, help="structure JSON path or bundled name")
@@ -779,10 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=tolerance, default=1e-9, help="iterated-vs-direct trace tolerance")
     p.add_argument("--compat-tol", type=tolerance, default=1e-10, help="per-level compatibility tolerance")
     p.add_argument("--output", default=None)
-    p.set_defaults(
-        func=cmd_trace_check,
-        config_keys=("structure", "level", "tol", "compat_tol"),
-    )
+    p.set_defaults(func=cmd_trace_check)
 
     p = sub.add_parser("hodge", help="decompose an edge field into exact and coulomb parts")
     p.add_argument("--structure", required=True, help="structure JSON path or bundled name")
@@ -790,35 +783,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="random:0", help="edge field spec")
     p.add_argument("--tol", type=tolerance, default=1e-10, help="relative tolerance for the residual checks")
     p.add_argument("--output", default=None)
-    p.set_defaults(
-        func=cmd_hodge,
-        config_keys=("structure", "level", "field", "tol"),
-    )
+    p.set_defaults(func=cmd_hodge)
 
     p = sub.add_parser("zero-mode", help="ground-state and flux-quantization test (peierls)")
     _add_common(p)
     p.add_argument("--model", choices=["peierls"], default="peierls", help="magnetic model (the flux criterion is exact only for peierls)")
     p.add_argument("--field", default="zero", help="edge field spec")
+    _add_measure(p)
     p.add_argument("--tol", type=tolerance, default=1e-9, help="zero-mode energy tolerance")
     p.add_argument("--spread-tol", type=tolerance, default=1e-6, help="ground-state modulus spread tolerance")
     p.add_argument("--flux-tol", type=tolerance, default=1e-8, help="flux integrality tolerance")
-    p.set_defaults(
-        func=cmd_zero_mode,
-        config_keys=("structure", "level", "model", "field", "measure", "tol", "spread_tol", "flux_tol"),
-    )
+    p.set_defaults(func=cmd_zero_mode)
 
     p = sub.add_parser("solve", help="magnetic Dirichlet solve with a pinned vertex set")
     _add_common(p)
     p.add_argument("--model", required=True, choices=["linearized", "peierls"])
     p.add_argument("--field", default="zero", help="edge field spec")
+    _add_measure(p)
     p.add_argument("--dirichlet", required=True, help="pinned set: 'boundary', comma-separated indices, or a JSON file")
     p.add_argument("--rhs", required=True, help="right-hand side: delta:<i>, constant:<v>, or a JSON file")
     p.add_argument("--tol", type=tolerance, default=1e-9, help="relative residual tolerance")
     p.add_argument("--export-matrix", default=None, help="also write the assembled matrix as JSON")
-    p.set_defaults(
-        func=cmd_solve,
-        config_keys=("structure", "level", "model", "field", "measure", "dirichlet", "rhs", "tol"),
-    )
+    p.set_defaults(func=cmd_solve)
 
     return parser
 

@@ -354,7 +354,7 @@ def klmn_audit(
         slack = (abs(b_value) - rhs) / max(1.0, rhs)
         if slack > worst:
             worst = slack
-        if slack > tol:
+        if not slack <= tol:  # a NaN slack counts as a violation
             violations += 1
     return KLMNReport(
         epsilon=float(epsilon),

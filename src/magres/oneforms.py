@@ -55,14 +55,19 @@ def inner(net: ResistanceNetwork, w, e=None):
     """Conductance-weighted inner product, linear in the first argument.
 
     With ``e`` omitted returns the squared norm ``<w, w>`` as a real float.
+    A result that is not finite (a non-finite entry, or forms so large
+    that the sum overflows) raises ``ValueError``.
     """
     w = _check_form(net, w)
-    if e is None:
-        return float(np.sum(net.conductances * (w.real**2 + w.imag**2))) \
-            if np.iscomplexobj(w) else float(np.sum(net.conductances * w * w))
-    e = _check_form(net, e)
-    out = np.sum(net.conductances * w * np.conj(e))
-    return complex(out) if np.iscomplexobj(w) or np.iscomplexobj(e) else float(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if e is None:
+            out = np.sum(net.conductances * (w.real**2 + w.imag**2)) if np.iscomplexobj(w) \
+                else np.sum(net.conductances * w * w)
+        else:
+            out = np.sum(net.conductances * w * np.conj(_check_form(net, e)))
+    if not np.isfinite(out):
+        raise ValueError("inner product of 1-forms is not finite: the forms overflow the float range")
+    return complex(out) if np.iscomplexobj(out) else float(out)
 
 
 def module_action(net: ResistanceNetwork, g, w) -> np.ndarray:

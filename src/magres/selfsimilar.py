@@ -309,7 +309,10 @@ def refine(s: PCFStructure, n: int) -> Refinement:
                     "conductance": cond,
                 }
             )
-    net = ResistanceNetwork.from_edges(len(name_list), edges, names)
+    try:
+        net = ResistanceNetwork.from_edges(len(name_list), edges, names)
+    except NetworkError as exc:
+        raise StructureError(f"level {n}: {exc}") from exc
 
     boundary: list[int] = []
     for lab in s.base.labels:

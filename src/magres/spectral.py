@@ -146,49 +146,56 @@ def renormalization_base(s: PCFStructure) -> float:
     return float(np.exp(np.mean([np.log(float(m.r)) for m in s.maps])))
 
 
-def _boundary_assembly(ref: Refinement, model: MagneticModel, mu, boundary: str) -> MagneticAssembly:
-    """The Neumann assembly, restricted off the structure's boundary set under ``"dirichlet"``."""
+def _boundary_spectrum(
+    ref: Refinement, model: MagneticModel, mu, boundary: str
+) -> tuple[np.ndarray, MagneticAssembly]:
+    """Eigenvalues of the Neumann assembly, restricted off the boundary set under ``"dirichlet"``.
+
+    An unknown ``boundary`` and a level beyond the dense limit are refused
+    before anything is assembled; callers resolve their input first.
+    """
     if boundary not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown boundary condition {boundary!r}; expected 'neumann' or 'dirichlet'")
+    _require_dense(ref)
     asm = assemble(ref.net, model, mu)
-    return asm.restrict(ref.boundary) if boundary == "dirichlet" else asm
+    asm = asm.restrict(ref.boundary) if boundary == "dirichlet" else asm
+    return hermitian_eigs(asm.symmetrized, compute_vectors=False), asm
 
 
 def spectrum(
     s: PCFStructure,
     level: int,
     model="peierls",
-    field="zero",
+    field: str = "zero",
     measure=None,
     boundary: str = "neumann",
-    renormalization: float = 1.0,
+    renormalize: bool = False,
 ) -> SpectrumReport:
     """Spectrum of the magnetic operator at one refinement level.
 
-    ``field`` is an edge array or a field spec string; ``measure`` a
-    per-map weight spec (default: the structure's own weights); ``boundary``
-    is ``"neumann"`` or ``"dirichlet"`` (pinning the boundary vertex set).
-    Eigenvalues are multiplied by ``renormalization`` before reporting.
+    ``field`` is a field spec string; ``measure`` a per-map weight spec
+    (default: the structure's own weights); ``boundary`` is ``"neumann"``
+    or ``"dirichlet"`` (pinning the boundary vertex set).  With
+    ``renormalize`` the eigenvalues are scaled by ``g^level``, ``g`` being
+    `renormalization_base`; the factor is reported as ``renormalization``.
     """
     ref = refine(s, int(level))
     mu = vertex_measure(ref, measure)
-    arr = field_from_spec(ref.net, field) if isinstance(field, str) else np.asarray(field, dtype=np.float64)
-    mod = MagneticModel(kind=str(model), field=arr)
-    _require_dense(ref)  # after the measure and field, so bad input is reported first
-    asm = _boundary_assembly(ref, mod, mu, boundary)
+    mod = MagneticModel(kind=str(model), field=field_from_spec(ref.net, field))
+    w, asm = _boundary_spectrum(ref, mod, mu, boundary)
+    factor = renormalization_base(s) ** int(level) if renormalize else 1.0
     metadata = {
         "structure": s.name or "unnamed",
         "level": int(level),
         "model": mod.kind,
         "boundary": boundary,
         "measure": "structure" if measure is None else str(measure),
-        "field": field if isinstance(field, str) else "array",
+        "field": field,
         "vertices": int(ref.net.vertex_count),
         "kept": int(asm.kept.size),
-        "renormalization": float(renormalization),
+        "renormalization": float(factor),
     }
-    w = hermitian_eigs(asm.symmetrized, compute_vectors=False)
-    return SpectrumReport(w * renormalization, metadata, matrix=asm.matrix)
+    return SpectrumReport(w * factor, metadata, matrix=asm.matrix)
 
 
 @dataclass(frozen=True)
@@ -227,13 +234,8 @@ def flux_sweep(
     mu = vertex_measure(ref, measure)
     basis = cycle_basis(ref.net)
     unit = cycle_field(ref.net, int(cycle_index), 1.0, basis=basis)
-    _require_dense(ref)  # after the cycle, so bad input is reported first
-
     models = (MagneticModel(kind=model, field=t * unit) for t in fluxes)
-    rows = [
-        hermitian_eigs(_boundary_assembly(ref, m, mu, boundary).symmetrized, compute_vectors=False)
-        for m in models
-    ]
+    rows = [_boundary_spectrum(ref, m, mu, boundary)[0] for m in models]
     k_eff = rows[0].size if k is None else min(int(k), rows[0].size)
     table = np.vstack([row[:k_eff] for row in rows])
     metadata = {
@@ -284,13 +286,11 @@ def convergence_table(
     levels = tuple(int(x) for x in levels)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be a strictly increasing non-empty sequence")
-    g = renormalization_base(s)
     rows = []
     for lvl in levels:
-        factor = g**lvl if renormalize else 1.0
         w = spectrum(
             s, lvl, model=model, field=field, measure=measure,
-            boundary=boundary, renormalization=factor,
+            boundary=boundary, renormalize=renormalize,
         ).eigenvalues
         if w.size < k:
             raise ValueError(f"level {lvl} has only {w.size} eigenvalues, need {k}")
@@ -307,7 +307,7 @@ def convergence_table(
         "measure": "structure" if measure is None else str(measure),
         "k": int(k),
         "renormalized": bool(renormalize),
-        "renormalization_base": g,
+        "renormalization_base": renormalization_base(s),
     }
     return ConvergenceReport(levels=levels, table=table, diffs=diffs, metadata=metadata)
 

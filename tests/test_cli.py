@@ -81,6 +81,20 @@ def test_structure_file_with_out_of_range_edge_exits_2(tmp_path, capsys):
     assert "check failed" not in err
 
 
+def test_structure_disconnected_by_refinement_exits_2(tmp_path, capsys):
+    # each copy of the base edge keeps one base label, so level 1 has two components
+    data = structure_data("interval")
+    data["maps"][0]["labels"], data["maps"][1]["labels"] = ["L", "x"], ["y", "R"]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    common = ["--structure", str(path), "--level", "1"]
+    for argv in (["build", *common, "--out-dir", str(tmp_path)], ["spectrum", *common, "--model", "peierls"]):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "level 1: network is not connected" in err
+        assert "check failed" not in err
+
+
 def test_negative_level_exits_2(capsys):
     code = main(["spectrum", "--structure", "gasket", "--level", "-1", "--model", "peierls"])
     assert code == EXIT_INPUT
@@ -466,6 +480,31 @@ def test_audit_passes_on_gasket(capsys):
     assert doc["config"]["field"] == "random:42"
 
 
+def test_audit_over_dense_limit_refused_before_the_audit(monkeypatch, capsys):
+    def no_metric(*args, **kwargs):
+        raise AssertionError("built a resistance matrix beyond the dense limit")
+
+    monkeypatch.setattr(magres.measure_audit, "resistance_matrix", no_metric)
+    assert main(["audit", "--structure", "gasket", "--level", "8"]) == EXIT_INPUT
+    assert "level 8 has 9843 vertices; dense limit is 4096" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--structure", "gasket", "--level", "1", "--field", "constant:1e200"],
+        ["hodge", "--structure", "gasket", "--level", "1", "--field", "constant:1e300"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_overflowing_form_norm_exits_2(argv, capsys):
+    # the field is finite but its squared norm is not; no report and no numpy warning
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "inner product of 1-forms is not finite" in captured.err
+
+
 def test_audit_small_margin_exits_2(capsys):
     for margin in ("4", "nan"):
         code = main(["audit", "--structure", "gasket", "--level", "1", "--M", margin])
@@ -751,11 +790,14 @@ MALFORMED = "[1, 2"
         (SWEEP + ["a:1:3"], "grid 'a:1:3'"),
         (["converge", "--structure", "gasket", "--levels", "1,x", "--model", "peierls"],
          "levels '1,x'"),
+        (SOLVE + ["--rhs", "delta:0", "--dirichlet", "[null]"], "vertex index null is not an integer"),
+        (SOLVE + ["--rhs", "delta:0", "--dirichlet", "[1.7, 0]"], "vertex index 1.7 is not an integer"),
+        (SOLVE + ["--rhs", "delta:0", "--dirichlet", '[true, "2"]'], "vertex index true is not an integer"),
     ],
 )
 def test_malformed_option_exits_2(argv, fragment, tmp_path, capsys):
-    # a JSON text in the argument list stands for a file holding it
-    files = {MALFORMED: tmp_path / "malformed.json", NOT_A_LIST: tmp_path / "not_a_list.json"}
+    # a JSON text in the argument list (one that starts with '[' or '{') stands for a file holding it
+    files = {a: tmp_path / f"arg{i}.json" for i, a in enumerate(argv) if a[:1] in ("[", "{")}
     for text, path in files.items():
         path.write_text(text, encoding="utf-8")
     argv = [str(files[a]) if a in files else a for a in argv]
@@ -786,6 +828,42 @@ def test_spectrum_reruns_byte_identical(tmp_path):
     assert main(argv + ["--output", str(out1)]) == EXIT_PASS
     assert main(argv + ["--output", str(out2)]) == EXIT_PASS
     assert out1.read_bytes() == out2.read_bytes()
+
+
+#: Each subcommand's echoed ``config`` keys, in report order, and a cheap run of it.
+CONFIG_KEYS = {
+    "build": (("structure", "level", "measure", "out_dir", "prefix", "tol", "skip_check"),
+              ["--structure", "interval", "--level", "1", "--out-dir", "{tmp}"]),
+    "spectrum": (("structure", "level", "model", "field", "measure", "boundary", "k", "renormalize", "format"),
+                 ["--structure", "interval", "--level", "1", "--model", "peierls",
+                  "--export-matrix", "{tmp}/m.json"]),
+    "flux-sweep": (("structure", "level", "model", "cycle", "grid", "measure", "boundary", "k", "tol", "format"),
+                   ["--structure", "circle", "--level", "2", "--model", "peierls", "--grid", "0:1:2"]),
+    "converge": (("structure", "levels", "k", "model", "field", "measure", "boundary", "renormalize", "format"),
+                 ["--structure", "interval", "--levels", "1,2", "--k", "2", "--model", "peierls"]),
+    "audit": (("structure", "level", "measure", "field", "M", "trials", "seed", "balls", "poincare_trials",
+               "radii", "tol"),
+              ["--structure", "interval", "--level", "1", "--trials", "2", "--balls", "2"]),
+    "gauge-check": (("structure", "level", "model", "field", "measure", "boundary", "count", "seed", "tol"),
+                    ["--structure", "interval", "--level", "1", "--model", "peierls", "--count", "1"]),
+    "trace-check": (("structure", "level", "tol", "compat_tol"), ["--structure", "interval", "--level", "1"]),
+    "hodge": (("structure", "level", "field", "tol"), ["--structure", "interval", "--level", "1"]),
+    "zero-mode": (("structure", "level", "model", "field", "measure", "tol", "spread_tol", "flux_tol"),
+                  ["--structure", "interval", "--level", "1"]),
+    "solve": (("structure", "level", "model", "field", "measure", "dirichlet", "rhs", "tol"),
+              ["--structure", "interval", "--level", "1", "--model", "peierls", "--dirichlet", "boundary",
+               "--rhs", "delta:1", "--export-matrix", "{tmp}/m.json"]),
+}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_KEYS))
+def test_config_echoes_every_option_in_order(command, tmp_path):
+    # the config order feeds the report bytes; --output and --export-matrix are never echoed
+    keys, argv = CONFIG_KEYS[command]
+    out = tmp_path / "report.json"
+    argv = [command] + [a.format(tmp=tmp_path) for a in argv] + ["--output", str(out)]
+    assert main(argv) == EXIT_PASS
+    assert tuple(json.loads(out.read_text(encoding="utf-8"))["config"]) == keys
 
 
 def test_console_entry_point_runs():

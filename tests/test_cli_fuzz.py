@@ -99,8 +99,8 @@ ARGV = st.one_of(
     command("audit", structure=STRUCTURE, level=LEVEL, radii=RADII, field=FIELD, measure=MEASURE,
             trials=st.just("4"), balls=st.just("3")),
     command("zero-mode", structure=STRUCTURE, level=LEVEL, field=FIELD, measure=MEASURE),
-    command("solve", structure=STRUCTURE, level=LEVEL, model=MODEL, dirichlet=st.just("boundary"),
-            field=FIELD, rhs=RHS),
+    command("solve", structure=STRUCTURE, level=LEVEL, model=MODEL,
+            dirichlet=st.just("boundary") | JSON_VALUE.map(JsonFile), field=FIELD, rhs=RHS),
 )
 
 
@@ -113,6 +113,12 @@ ARGV = st.one_of(
                             "field": "zero", "measure": "structure"}))
 @example(case=("solve", {"structure": "interval", "level": "1", "model": "peierls", "dirichlet": "boundary",
                          "field": "zero", "rhs": JsonFile([10**400, 1, 1])}))
+# finite fields whose squared norms overflow once ended in a PASS report or a numpy warning
+@example(case=("audit", {"structure": "gasket", "level": "1", "field": "constant:1e200"}))
+@example(case=("hodge", {"structure": "gasket", "level": "1", "field": "constant:1e300"}))
+# a JSON pinned set holding null once ended in a TypeError
+@example(case=("solve", {"structure": "interval", "level": "2", "model": "peierls", "dirichlet": JsonFile([None]),
+                         "field": "zero", "rhs": "delta:3"}))
 def test_generated_input_exits_0_1_or_2(tmp_path_factory, case):
     name, options = case
     argv = [name]

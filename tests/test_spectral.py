@@ -19,6 +19,7 @@ from magres import (
     flux_sweep,
     hermitian_eigs,
     refine,
+    renormalization_base,
     spectrum,
     vertex_measure,
 )
@@ -249,8 +250,10 @@ def test_spectrum_eigenvectors_diagonalise_quotient(gasket):
 
 def test_spectrum_renormalization_scales_eigenvalues(gasket):
     raw = spectrum(gasket, 2, field="zero")
-    scaled = spectrum(gasket, 2, field="zero", renormalization=0.25)
-    assert np.allclose(scaled.eigenvalues, 0.25 * raw.eigenvalues)
+    scaled = spectrum(gasket, 2, field="zero", renormalize=True)
+    factor = renormalization_base(gasket) ** 2
+    assert np.array_equal(scaled.eigenvalues, raw.eigenvalues * factor)
+    assert (raw.metadata["renormalization"], scaled.metadata["renormalization"]) == (1.0, factor)
 
 
 def test_spectrum_rejects_negative_level(gasket):
