@@ -636,7 +636,7 @@ def cmd_hodge(args) -> int:
 
 def cmd_zero_mode(args) -> int:
     s, ref, mu = _prepare(args)
-    model = MagneticModel(kind="peierls", field=field_from_spec(ref.net, args.field))
+    model = MagneticModel(kind=args.model, field=field_from_spec(ref.net, args.field))
     _require_dense(ref)
     rep = zero_mode_test(
         ref.net,
@@ -785,9 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_hodge)
 
-    p = sub.add_parser("zero-mode", help="ground-state and flux-quantization test (peierls)")
+    p = sub.add_parser("zero-mode", help="ground-state and flux-quantization test")
     _add_common(p)
-    p.add_argument("--model", choices=["peierls"], default="peierls", help="magnetic model (the flux criterion is exact only for peierls)")
+    p.add_argument("--model", choices=["linearized", "peierls"], default="peierls", help="magnetic model; fluxes are those of its Peierls phases, 2*arctan(a/2) per edge for linearized, so the criterion is exact for both")
     p.add_argument("--field", default="zero", help="edge field spec")
     _add_measure(p)
     p.add_argument("--tol", type=tolerance, default=1e-9, help="zero-mode energy tolerance")

@@ -3,7 +3,9 @@
 Two discretisations of the magnetic derivative are provided.
 
 * ``linearized``: ``d_a f = df + i (f.a)`` with the midpoint module action;
-  the energy is ``<d_a f, d_a g>`` in the weighted form inner product.
+  the energy is ``<d_a f, d_a g>`` in the weighted form inner product.  It
+  equals the peierls energy with phases ``2 arctan(a/2)`` on conductances
+  ``c (1 + a^2/4)``, so the zero-mode criterion below holds for those phases.
 * ``peierls``: per-edge phase factors, ``sum_e c_e (f(tail) -
   e^{i theta_e} f(head)) conj(...)``; gauge covariance is exact at matrix
   level, and zero ground energy occurs precisely when every cycle flux of
@@ -49,6 +51,10 @@ TWO_PI = 2.0 * np.pi
 
 #: Relative bound on the energy coupling of functions with separated supports.
 LOCALITY_TOL = 1e-12
+
+#: Largest cycle flux ``zero_mode_test`` accepts: from ``2^52`` on, float
+#: spacing is at least 1, so a flux cannot be resolved modulo ``2 pi``.
+MAX_FLUX = 2.0**52
 
 #: Rows or columns of a dense ``n x n`` array processed at once; bounds each
 #: temporary of ``symmetrized`` and ``spectral.hermitian_eigs`` to
@@ -99,6 +105,17 @@ def _edge_coefficients(net: ResistanceNetwork, model: MagneticModel):
         k_tail = np.ones(net.edge_count, dtype=np.complex128)
         k_head = -np.exp(1j * a)
     return k_tail, k_head
+
+
+def _peierls_phases(model: MagneticModel) -> np.ndarray:
+    """Edge phases of the Peierls form that equals ``model``'s, up to conductances.
+
+    The linearized amplitude ``(1 + ia/2) f(head) - (1 - ia/2) f(tail)`` is
+    ``-(1 - ia/2) (f(tail) - e^{i phi} f(head))`` with ``phi = 2 arctan(a/2)``,
+    so ``A_lin(c, a) = A_peierls(c (1 + a^2/4), phi)``; a Peierls model's
+    phases are its field.
+    """
+    return 2.0 * np.arctan(0.5 * model.field) if model.kind == "linearized" else model.field
 
 
 def magnetic_energy(net: ResistanceNetwork, model: MagneticModel, f, g=None):
@@ -228,9 +245,11 @@ def gauge_transform(net: ResistanceNetwork, model: MagneticModel, lam) -> Magnet
 class ZeroModeReport:
     """Ground-state data of an assembly plus its flux-quantisation check.
 
+    ``fluxes`` are the cycle fluxes of the Peierls phases equal to the model
+    (`_peierls_phases`: the field itself for peierls, ``2 arctan(a/2)`` per
+    edge for linearized), so the criterion is exact for both models.
     ``consistent`` states whether ``zero_mode == fluxes_integral`` and, when
-    a zero mode is found, ``modulus_spread <= spread_tol``; it is ``None``
-    for the linearized model, whose flux criterion is only asymptotic.
+    a zero mode is found, ``modulus_spread <= spread_tol``.
     """
 
     ground_energy: float
@@ -239,7 +258,7 @@ class ZeroModeReport:
     max_flux_defect: float
     fluxes_integral: bool
     zero_mode: bool
-    consistent: bool | None
+    consistent: bool
     tol: float
     spread_tol: float
     flux_tol: float
@@ -255,12 +274,20 @@ def zero_mode_test(
 ) -> ZeroModeReport:
     """Test for a zero ground energy and constant-modulus ground state.
 
-    For the peierls model a zero mode exists exactly when every cycle flux
-    of the field lies in ``2 pi Z``; the ground state is then a constant
-    multiple of a pure phase and its modulus spread vanishes.
+    A zero mode exists exactly when every cycle flux of the model's Peierls
+    phases lies in ``2 pi Z``; the ground state is then a constant multiple
+    of a pure phase and its modulus spread vanishes.  A flux above
+    ``MAX_FLUX`` in magnitude raises ``ValueError`` before any eigensolve.
     """
     from .spectral import hermitian_eigs
 
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge field's tree potential overflows
+        fluxes = np.asarray(cycle_fluxes(net, _peierls_phases(model)), dtype=np.float64)
+    if fluxes.size and not np.max(np.abs(fluxes)) <= MAX_FLUX:  # NaN included
+        raise ValueError(
+            f"largest cycle flux {np.max(np.abs(fluxes)):.3e} is not finite or beyond 2^52, "
+            "where float spacing cannot resolve integrality modulo 2 pi"
+        )
     asm = assemble(net, model, mu)
     w, V = hermitian_eigs(asm.symmetrized)
     ground = float(w[0])
@@ -269,14 +296,11 @@ def zero_mode_test(
     lo, hi = float(np.min(mods)), float(np.max(mods))
     spread = float("inf") if lo == 0.0 else hi / lo - 1.0
 
-    fluxes = np.asarray(cycle_fluxes(net, model.field), dtype=np.float64)
     defects = np.abs(fluxes - TWO_PI * np.round(fluxes / TWO_PI)) if fluxes.size else np.zeros(0)
     max_defect = float(np.max(defects)) if defects.size else 0.0
     integral = bool(max_defect <= flux_tol)
     zero_mode = bool(ground < tol)
-    consistent = None
-    if model.kind == "peierls":
-        consistent = zero_mode == integral and (not zero_mode or spread <= spread_tol)
+    consistent = zero_mode == integral and (not zero_mode or spread <= spread_tol)
     return ZeroModeReport(
         ground_energy=ground,
         modulus_spread=spread,

@@ -335,7 +335,8 @@ def klmn_audit(
     Requires ``M > 20/3`` so that ``eps = 1/4 + 5/M < 1``.  The chain
     ``|B(f)| <= E(f)/4 + 5 |fa|^2`` combined with the fitted multiplication
     bound makes every trial satisfy the final inequality, so violations
-    signal a numerical problem rather than a sharp constant.
+    signal a numerical problem rather than a sharp constant.  A right-hand
+    side that overflows the float range raises ``ValueError``.
     """
     M = float(M)
     if not M > MIN_KLMN_M:
@@ -351,6 +352,8 @@ def klmn_audit(
     for f in _trial_ensemble(net.vertex_count, trials, seed):
         b_value = magnetic_energy(net, model, f) - energy(net, f)
         rhs = epsilon * energy(net, f) + constant * _mu_norm_sq(mass, f)
+        if not np.isfinite(rhs):
+            raise ValueError(f"form-bound right-hand side {rhs} is not finite: the field is too large")
         slack = (abs(b_value) - rhs) / max(1.0, rhs)
         if slack > worst:
             worst = slack

@@ -505,6 +505,36 @@ def test_overflowing_form_norm_exits_2(argv, capsys):
     assert "inner product of 1-forms is not finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zero-mode", "--structure", "gasket", "--level", "1", "--field", "constant:1e200"], "beyond 2^52"),
+        (["zero-mode", "--structure", "gasket", "--level", "1", "--field", "constant:1e308"], "not finite"),
+        (["audit", "--structure", "gasket", "--level", "1", "--field", "constant:1e153", "--trials", "20"],
+         "right-hand side inf is not finite"),
+    ],
+    ids=["zero-mode-1e200", "zero-mode-1e308", "audit-1e153"],
+)
+def test_unresolvable_field_exits_2(argv, message, capsys):
+    # fluxes beyond float resolution, or a form bound that overflows, are bad input, not a failed check
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_zero_mode_linearized_model(capsys):
+    # the criterion is exact for the linearized model too, so the verdict is PASS or FAIL, never undecided
+    for field, zero_mode in (("zero", True), (f"cycle:0:{np.pi}", False)):
+        code, doc = run_json(
+            capsys, ["zero-mode", "--structure", "gasket", "--level", "2", "--model", "linearized", "--field", field]
+        )
+        assert code == EXIT_PASS
+        assert doc["config"]["model"] == "linearized"
+        assert doc["report"]["zero_mode"] is zero_mode
+        assert doc["report"]["consistent"] is True
+
+
 def test_audit_small_margin_exits_2(capsys):
     for margin in ("4", "nan"):
         code = main(["audit", "--structure", "gasket", "--level", "1", "--M", margin])

@@ -3,7 +3,9 @@
 Specs mix well-formed pieces (numbers at the edges of the float range,
 rationals, indices near the valid range) with free text.  Sizes stay at
 levels 0-2, and free text holds no decimal digit, so a spec can never ask
-for a large level, grid or level list.
+for a large level, grid or level list.  Well-formed ``flux-sweep`` cases
+may also run at level 5, where the gasket's 366 vertices take a small
+``--k`` to the sparse eigensolver.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ MEASURE = st.one_of(st.sampled_from(["structure", "uniform"]), joined(NUMBER), J
 GRID = st.one_of(
     st.tuples(NUMBER, NUMBER, st.one_of(st.integers(-1, 4).map(str), JUNK)).map(":".join),
     JUNK,
+)
+SWEEP_GRID = st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.integers(1, 4)).map(
+    lambda p: f"{p[0]!r}:{p[1]!r}:{p[2]}"
 )
 RADII = st.one_of(joined(NUMBER), JUNK)
 LEVELS = st.one_of(joined(st.integers(-1, 2).map(str)), JUNK)
@@ -88,17 +93,22 @@ LEVEL = st.integers(0, 2).map(str)
 MODEL = st.sampled_from(["linearized", "peierls"])
 
 
-def command(name, **options):
-    return st.tuples(st.just(name), st.fixed_dictionaries(options))
+def command(name, optional=None, **options):
+    return st.tuples(st.just(name), st.fixed_dictionaries(options, optional=optional or {}))
 
 
 ARGV = st.one_of(
     command("spectrum", structure=STRUCTURE, level=LEVEL, model=MODEL, field=FIELD, measure=MEASURE),
-    command("flux-sweep", structure=STRUCTURE, level=LEVEL, model=st.just("peierls"), grid=GRID, measure=MEASURE),
+    command("flux-sweep", structure=STRUCTURE, level=LEVEL, model=st.just("peierls"), grid=GRID, measure=MEASURE,
+            optional={"k": INDEX}),
+    # well-formed sweeps with a drawn --k reach both eigensolvers and a k above the vertex count
+    command("flux-sweep", structure=st.sampled_from(["gasket", "circle"]),
+            level=st.sampled_from(["5", "2", "1"]), model=st.just("peierls"), grid=SWEEP_GRID,
+            boundary=st.sampled_from(["neumann", "dirichlet"]), k=st.integers(1, 12).map(str)),
     command("converge", structure=STRUCTURE, model=MODEL, levels=LEVELS, field=FIELD, k=st.just("2")),
     command("audit", structure=STRUCTURE, level=LEVEL, radii=RADII, field=FIELD, measure=MEASURE,
             trials=st.just("4"), balls=st.just("3")),
-    command("zero-mode", structure=STRUCTURE, level=LEVEL, field=FIELD, measure=MEASURE),
+    command("zero-mode", structure=STRUCTURE, level=LEVEL, model=MODEL, field=FIELD, measure=MEASURE),
     command("solve", structure=STRUCTURE, level=LEVEL, model=MODEL,
             dirichlet=st.just("boundary") | JSON_VALUE.map(JsonFile), field=FIELD, rhs=RHS),
 )
@@ -116,6 +126,14 @@ ARGV = st.one_of(
 # finite fields whose squared norms overflow once ended in a PASS report or a numpy warning
 @example(case=("audit", {"structure": "gasket", "level": "1", "field": "constant:1e200"}))
 @example(case=("hodge", {"structure": "gasket", "level": "1", "field": "constant:1e300"}))
+# a flux beyond float resolution once made zero-mode fail (exit 1), and a form
+# bound whose right-hand side overflowed once made audit fail with a NaN slack
+@example(case=("zero-mode", {"structure": "gasket", "level": "1", "field": "constant:1e200"}))
+@example(case=("audit", {"structure": "gasket", "level": "1", "field": "constant:1e153", "trials": "20"}))
+# both eigensolvers, and a k above the vertex count
+@example(case=("flux-sweep", {"structure": "gasket", "level": "5", "model": "peierls", "grid": "0:3:3", "k": "2"}))
+@example(case=("flux-sweep", {"structure": "gasket", "level": "5", "model": "peierls", "grid": "0:3:3", "k": "12"}))
+@example(case=("flux-sweep", {"structure": "circle", "level": "1", "model": "peierls", "grid": "0:3:3", "k": "9"}))
 # a JSON pinned set holding null once ended in a TypeError
 @example(case=("solve", {"structure": "interval", "level": "2", "model": "peierls", "dirichlet": JsonFile([None]),
                          "field": "zero", "rhs": "delta:3"}))
@@ -129,5 +147,8 @@ def test_generated_input_exits_0_1_or_2(tmp_path_factory, case):
             value = path
         argv.append(f"--{key}={value}")  # after '=', a value never reads as a flag
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses an option its type rejects (--k) this way
+            code = exc.code
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INPUT)

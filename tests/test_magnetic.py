@@ -13,6 +13,7 @@ from magres import (
     assemble,
     b_form_terms,
     bundled_structure,
+    cycle_fluxes,
     derivation,
     dirichlet_solve,
     energy,
@@ -336,12 +337,65 @@ def test_zero_mode_ground_state_is_pure_phase(gasket):
     assert rep.consistent
 
 
-def test_linearized_zero_mode_consistency_is_untyped():
-    # the flux criterion is only asymptotic for the linearized model
+def test_linearized_zero_mode_consistency_is_decided():
+    # the linearized criterion is exact, on the phases 2 arctan(a/2): here
+    # 3 * 2 arctan(1/4) around the triangle, so no zero mode and a verdict
     net = three_cycle()
     model = MagneticModel(kind="linearized", field=np.array([0.5, -0.5, 0.5]))
     rep = zero_mode_test(net, model, np.ones(3))
-    assert rep.consistent is None
+    assert abs(rep.fluxes[0]) == pytest.approx(6.0 * np.arctan(0.25), rel=1e-12)
+    assert not rep.zero_mode and not rep.fluxes_integral
+    assert rep.consistent is True
+
+
+@pytest.mark.parametrize("level", [2, 4])
+def test_linearized_zero_mode_for_an_exact_phase(gasket, level):
+    # a = 2 tan(d lambda / 2) has Peierls phases d lambda, an exact form, so
+    # the linearized model has a zero mode although the cycle fluxes of a
+    # itself are far from 2 pi Z; under peierls the same a has none
+    ref = refine(gasket, level)
+    mu = vertex_measure(ref)
+    lam = np.random.default_rng(level).uniform(-1.5, 1.5, ref.net.vertex_count)
+    a = 2.0 * np.tan(0.5 * derivation(ref.net, lam))
+    own = np.asarray(cycle_fluxes(ref.net, a))
+    assert np.max(np.abs(own - 2.0 * np.pi * np.round(own / (2.0 * np.pi)))) > 0.5
+    lin = zero_mode_test(ref.net, MagneticModel(kind="linearized", field=a), mu)
+    assert lin.zero_mode and lin.fluxes_integral and lin.consistent is True
+    assert abs(lin.ground_energy) < 1e-9 and lin.modulus_spread < 1e-8
+    peierls = zero_mode_test(ref.net, MagneticModel(kind="peierls", field=a), mu)
+    assert not peierls.zero_mode and not peierls.fluxes_integral and peierls.consistent is True
+    assert peierls.ground_energy > 1.0
+
+
+def test_linearized_assembly_is_a_reweighted_peierls_assembly(gasket):
+    # A_lin(c, a) = A_peierls(c (1 + a^2/4), 2 arctan(a/2)), entry by entry
+    net = refine(gasket, 3).net
+    a = 3.0 * np.random.default_rng(3).standard_normal(net.edge_count)
+    lin = MagneticModel(kind="linearized", field=a)
+    reweighted = ResistanceNetwork(
+        net.vertex_count, net.tails, net.heads, net.conductances * (1.0 + 0.25 * a**2)
+    )
+    peierls = MagneticModel(kind="peierls", field=magres.magnetic._peierls_phases(lin))
+    A_lin = assemble(net, lin, np.ones(net.vertex_count)).matrix.toarray()
+    A_pei = assemble(reweighted, peierls, np.ones(net.vertex_count)).matrix.toarray()
+    assert np.max(np.abs(A_lin - A_pei)) <= 1e-14 * np.max(np.abs(A_lin))
+
+
+@pytest.mark.parametrize("amplitude", [1e200, 2.0**53])
+def test_zero_mode_refuses_unresolvable_fluxes(amplitude):
+    # beyond 2^52 the float spacing of a flux is at least 1, so integrality
+    # modulo 2 pi means nothing; the refusal comes before any eigensolve
+    net = three_cycle()
+    model = MagneticModel(kind="peierls", field=np.array([amplitude, -amplitude, amplitude]))
+    with pytest.raises(ValueError, match="beyond 2\\^52"):
+        zero_mode_test(net, model, np.ones(3))
+
+
+def test_zero_mode_accepts_fluxes_up_to_2_pow_52():
+    net = three_cycle()
+    third = 2.0**52 / 3.0
+    rep = zero_mode_test(net, MagneticModel(kind="peierls", field=np.array([third, -third, third])), np.ones(3))
+    assert abs(rep.fluxes[0]) <= 2.0**52
 
 
 # ---------------------------------------------------------------------------

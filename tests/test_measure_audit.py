@@ -265,6 +265,14 @@ def test_klmn_rejects_small_margin_parameter(gasket2):
         klmn_audit(net, mu, a, M=float("nan"))
 
 
+def test_klmn_refuses_an_overflowing_right_hand_side(gasket2):
+    # C * |f|^2_mu overflows just below the form-norm refusal; the slack
+    # would be NaN and the verdict meaningless
+    net, mu = gasket2
+    with pytest.raises(ValueError, match="right-hand side inf is not finite"):
+        klmn_audit(net, mu, np.full(net.edge_count, 1e153), M=8.0, trials=20)
+
+
 def test_klmn_epsilon_and_constant(gasket2):
     net, mu = gasket2
     rng = np.random.default_rng(2)
