@@ -399,8 +399,10 @@ def cmd_flux_sweep(args) -> int:
         k=args.k,
     )
 
-    # spectra must repeat at fluxes equal mod 2*pi and agree under negation
+    # spectra must repeat at fluxes equal mod 2*pi and agree under negation, to a
+    # tolerance relative to the largest eigenvalue, the scale of dense roundoff
     tol = float(args.tol)
+    scale = max(1.0, float(np.max(np.abs(sweep.table))))
     periodic_pairs = 0
     symmetric_pairs = 0
     max_pair_dev = 0.0
@@ -426,9 +428,10 @@ def cmd_flux_sweep(args) -> int:
             "symmetric_pairs": symmetric_pairs,
             "max_pair_deviation": max_pair_dev,
             "tol": tol,
+            "scale": scale,
         },
     }
-    return _emit(args, "PASS" if max_pair_dev <= tol else "FAIL", report)
+    return _emit(args, "PASS" if max_pair_dev <= tol * scale else "FAIL", report)
 
 
 def cmd_converge(args) -> int:
@@ -728,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_measure(p)
     p.add_argument("--boundary", choices=["neumann", "dirichlet"], default="neumann")
     p.add_argument("--k", type=positive_int, default=None, help="keep only the first k eigenvalues per flux")
-    p.add_argument("--tol", type=tolerance, default=1e-8, help="tolerance for periodicity/symmetry row agreement")
+    p.add_argument("--tol", type=tolerance, default=1e-8, help="periodicity/symmetry row tolerance, relative to max(1, largest |eigenvalue|)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_flux_sweep)
 

@@ -56,8 +56,8 @@ LOCALITY_TOL = 1e-12
 #: spacing is at least 1, so a flux cannot be resolved modulo ``2 pi``.
 MAX_FLUX = 2.0**52
 
-#: Rows or columns of a dense ``n x n`` array processed at once; bounds each
-#: temporary of ``symmetrized`` and ``spectral.hermitian_eigs`` to
+#: Rows, columns or square blocks of a dense ``n x n`` array processed at
+#: once by ``spectral.hermitian_eigs``; bounds each of its temporaries to
 #: ``n x DENSE_BLOCK``.
 DENSE_BLOCK = 256
 
@@ -169,9 +169,11 @@ class MagneticAssembly:
 
     ``matrix`` is a CSR matrix with ``g^H matrix f = E^a(f, g)`` on the kept
     vertices; it is Hermitian positive semidefinite by construction.
-    ``symmetrized``, the one dense form, computes ``M^{-1/2} matrix M^{-1/2}``
-    for the diagonal mass matrix ``M`` on each access, scaling the densified
-    matrix in place ``DENSE_BLOCK`` rows at a time; ``kept`` maps its rows
+    ``scaled`` is the operator ``M^{-1/2} matrix M^{-1/2}`` for the diagonal
+    mass matrix ``M``, as a CSR matrix whose entries are ``a_ij (s_i s_j)``
+    with ``s = M^{-1/2}``; the sparse and the dense eigensolvers both start
+    from it.  ``symmetrized``, the one dense form, densifies ``scaled`` in
+    Fortran order.  Both are computed on each access.  ``kept`` maps the rows
     back to vertices of the network (every vertex for the Neumann form that
     ``assemble`` builds, a proper subset after ``restrict``).
     """
@@ -181,13 +183,15 @@ class MagneticAssembly:
     kept: np.ndarray
 
     @property
+    def scaled(self) -> scipy.sparse.csr_matrix:
+        A = self.matrix
+        s = 1.0 / np.sqrt(self.mass)
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        return scipy.sparse.csr_matrix((A.data * (s[rows] * s[A.indices]), A.indices, A.indptr), shape=A.shape)
+
+    @property
     def symmetrized(self) -> np.ndarray:
-        scale = 1.0 / np.sqrt(self.mass)
-        H = self.matrix.toarray()
-        for start in range(0, H.shape[0], DENSE_BLOCK):
-            rows = slice(start, start + DENSE_BLOCK)
-            H[rows] *= np.outer(scale[rows], scale)
-        return H
+        return self.scaled.toarray(order="F")
 
     def restrict(self, pinned: Sequence[int]) -> MagneticAssembly:
         """The Dirichlet form: this assembly without the rows and columns of ``pinned``.

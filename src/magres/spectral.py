@@ -10,8 +10,10 @@ of a single-cycle field.
 Every eigenvalue comes from dense `hermitian_eigs`, the reference, except
 when only the ``k`` lowest are wanted and ``k`` is small against the vertex
 count: then `_lowest_eigs` runs sparse shift-invert ARPACK on the CSR
-assembly and certifies the result by residual, orthonormality and an
-inertia count.  Only `flux_sweep` asks for ``k`` eigenvalues this way.
+operator `MagneticAssembly.scaled` and certifies the result by residual,
+orthonormality and an inertia count.  Only `flux_sweep` asks for ``k``
+eigenvalues this way.  A dense eigenvalue-only solve densifies ``scaled``
+once and `hermitian_eigs` factors that buffer in place (``overwrite_h``).
 """
 
 from __future__ import annotations
@@ -69,19 +71,50 @@ class SpectralError(RuntimeError):
     """Raised when an eigensolution violates its accuracy contract."""
 
 
-def hermitian_eigs(H: np.ndarray, compute_vectors: bool = True):
+def _symmetrize_in_place(H: np.ndarray, blocks: list[slice]) -> tuple[float, float]:
+    """Replace the square ``H`` by ``(H + H^H) / 2``; return its largest entry and Hermiticity defect.
+
+    Works on one block of ``blocks x blocks`` and its mirror at a time,
+    computing both from the input with the formula ``0.5 * (H_ij + conj
+    H_ji)``, so the result does not depend on the blocks.  The largest
+    entry and the defect ``max |H_ij - conj H_ji|`` are those of the input.
+    """
+    peaks, defects = [], []
+    for i, rows in enumerate(blocks):
+        for cols in blocks[i:]:
+            a, b = H[rows, cols], H[cols, rows]
+            bt = b.conj().T
+            peaks += [np.max(np.abs(a)), np.max(np.abs(b))]
+            defects.append(np.max(np.abs(a - bt)))
+            # both halves are computed before either is written: a real view's conj() is itself
+            upper, lower = 0.5 * (a + bt), 0.5 * (b + a.conj().T)
+            H[rows, cols], H[cols, rows] = upper, lower
+    return float(np.max(peaks, initial=0.0)), float(np.max(defects, initial=0.0))
+
+
+def hermitian_eigs(H: np.ndarray, compute_vectors: bool = True, overwrite_h: bool = False):
     """Checked dense Hermitian eigendecomposition, eigenvalues ascending.
 
     Rejects inputs whose Hermiticity defect exceeds ``HERMITICITY_TOL``
-    relative to the largest entry, or is NaN, as for any non-finite input.  When eigenvectors are computed it also
-    enforces the residual bound ``max |H v - w v| <= RESIDUAL_TOL * max(1,
-    |w|_max)`` and orthonormality of the eigenvector columns.
+    relative to the largest entry, or is NaN, as for any non-finite input.
+    When eigenvectors are computed it also enforces the residual bound
+    ``max |H v - w v| <= RESIDUAL_TOL * max(1, |w|_max)`` and orthonormality
+    of the eigenvector columns.
 
-    ``H`` is never modified.  The function holds one working copy, the
-    symmetrised ``(H + H^H) / 2`` in Fortran order, which LAPACK factors in
-    place; the defect, residual and Gram checks run ``DENSE_BLOCK`` columns
-    at a time, and the residual is taken against ``H`` itself.
+    LAPACK factors the symmetrised ``(H + H^H) / 2`` in place, in Fortran
+    order.  ``H`` is not modified unless ``overwrite_h`` is set: the
+    function then holds one working copy of it.  With ``overwrite_h`` (as
+    scipy's ``overwrite_a``) and ``compute_vectors=False``, a writeable,
+    Fortran-contiguous ``H`` of dtype float64 or complex128 is itself
+    symmetrised and factored, so no ``n x n`` copy is made and its contents
+    are undefined afterwards, also when the Hermiticity check fails; other
+    inputs still get the working copy.  ``overwrite_h`` with eigenvectors
+    raises ``ValueError``, because the residual is taken against ``H``
+    after the factorisation.  Symmetrisation, defect, residual and Gram
+    checks run ``DENSE_BLOCK`` rows or columns at a time.
     """
+    if overwrite_h and compute_vectors:
+        raise ValueError("overwrite_h needs compute_vectors=False: the residual check reads H")
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
@@ -89,15 +122,11 @@ def hermitian_eigs(H: np.ndarray, compute_vectors: bool = True):
     if n > MAX_DENSE_DIM:
         raise SpectralError(f"matrix dimension {n} exceeds dense limit {MAX_DENSE_DIM}")
     blocks = [slice(start, start + DENSE_BLOCK) for start in range(0, n, DENSE_BLOCK)]
-    Hs = np.empty((n, n), dtype=np.result_type(H.dtype, np.float64), order="F")
-    peaks, defects = [], []
-    for cols in blocks:
-        a, b = H[:, cols], H[cols, :].conj().T
-        peaks.append(np.max(np.abs(a)))
-        defects.append(np.max(np.abs(a - b)))
-        Hs[:, cols] = 0.5 * (a + b)
-    scale = max(1.0, float(np.max(peaks, initial=0.0)))
-    defect = float(np.max(defects, initial=0.0))
+    dtype = np.result_type(H.dtype, np.float64)
+    in_place = overwrite_h and H.dtype == dtype and H.flags.f_contiguous and H.flags.writeable
+    Hs = H if in_place else np.array(H, dtype=dtype, order="F")
+    peak, defect = _symmetrize_in_place(Hs, blocks)
+    scale = max(1.0, peak)
     if not defect <= HERMITICITY_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} at scale {scale:.3e}")
     if not compute_vectors:
@@ -144,11 +173,11 @@ def _count_below(H: scipy.sparse.csr_matrix, x: float) -> int:
 def _lowest_eigs(asm: MagneticAssembly, k: int) -> np.ndarray:
     """Checked ``k`` lowest eigenvalues of ``M^{-1/2} A M^{-1/2}`` by sparse shift-invert ARPACK.
 
-    The CSR assembly is scaled entry by entry with the products ``s_i s_j``
-    (``s = M^{-1/2}``) that `MagneticAssembly.symmetrized` applies, and a
-    Hermiticity defect above ``HERMITICITY_TOL`` relative to the largest
-    entry raises ``ValueError``.  ARPACK runs on ``H - sigma I`` with
-    ``sigma = -SHIFT_REL * |H|_inf``, definite even at a zero mode, from a
+    It runs on the CSR operator `MagneticAssembly.scaled`, whose dense form
+    the dense path factors, and a Hermiticity defect above
+    ``HERMITICITY_TOL`` relative to the largest entry raises ``ValueError``.
+    ARPACK runs on ``H - sigma I`` with ``sigma = -SHIFT_REL * |H|_inf``,
+    definite even at a zero mode, from a
     fixed start vector, so reruns are bitwise equal.  Its vectors need not
     be orthonormal inside a degenerate eigenspace, so the returned basis is
     orthonormalised (QR) and the ``k x k`` projected problem is solved.
@@ -161,13 +190,10 @@ def _lowest_eigs(asm: MagneticAssembly, k: int) -> np.ndarray:
     the count must equal the number returned below the cut.  Otherwise the
     request doubles, up to ``n - 2`` pairs, before `SpectralError`.
     """
-    A = asm.matrix
-    n = A.shape[0]
+    n = asm.mass.size
     if not 0 < k < n - 2:
         raise ValueError(f"sparse eigensolution needs 0 < k < n - 2, got k={k} for n={n}")
-    s = 1.0 / np.sqrt(asm.mass)
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    H = scipy.sparse.csr_matrix((A.data * (s[rows] * s[A.indices]), A.indices, A.indptr), shape=A.shape)
+    H = asm.scaled
     scale = max(1.0, float(np.max(np.abs(H.data), initial=0.0)))
     defect = float(np.max(np.abs((H - H.conj().T).data), initial=0.0))
     if not defect <= HERMITICITY_TOL * scale:
@@ -254,7 +280,8 @@ def _boundary_spectrum(
     against the vertex count (at least ``SPARSE_MIN_DIM`` vertices and
     ``SPARSE_K_RATIO * k`` at most their number) the sparse `_lowest_eigs`
     computes them; otherwise dense `hermitian_eigs` computes every
-    eigenvalue.  An unknown ``boundary``, and a level beyond the dense limit
+    eigenvalue, factoring the one buffer `MagneticAssembly.symmetrized`
+    returns in place.  An unknown ``boundary``, and a level beyond the dense limit
     on the dense path, are refused before anything is assembled; callers
     resolve their input first.
     """
@@ -268,7 +295,7 @@ def _boundary_spectrum(
     asm = asm.restrict(ref.boundary) if boundary == "dirichlet" else asm
     if sparse:
         return _lowest_eigs(asm, k), asm
-    return hermitian_eigs(asm.symmetrized, compute_vectors=False)[:k], asm
+    return hermitian_eigs(asm.symmetrized, compute_vectors=False, overwrite_h=True)[:k], asm
 
 
 def spectrum(

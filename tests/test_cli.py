@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -351,6 +352,43 @@ def test_flux_sweep_impossible_tol_fails(capsys):
     assert code == EXIT_FAIL
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "FAIL"
+
+
+def test_flux_sweep_tolerance_scales_with_the_largest_eigenvalue(capsys):
+    # dense roundoff grows with the largest eigenvalue (4^11 * 4 here): an absolute
+    # 1e-8 failed this valid sweep with a pair deviation of 1.7e-8
+    code, doc = run_json(
+        capsys,
+        ["flux-sweep", "--structure", "circle", "--level", "11", "--model", "peierls",
+         "--grid=0.7853981633974483:7.0685834705770345:3"],
+    )
+    assert code == EXIT_PASS
+    assert doc["verdict"] == "PASS"
+    checks = doc["report"]["checks"]
+    assert checks["periodic_pairs"] == 1
+    assert checks["scale"] == max(1.0, max(max(row) for row in doc["report"]["eigenvalues"]))
+    assert checks["max_pair_deviation"] <= checks["tol"] * checks["scale"]
+
+
+def test_flux_sweep_relative_perturbation_fails(monkeypatch, capsys):
+    real = magres.cli.flux_sweep
+
+    def perturbed(*args, **kwargs):
+        sweep = real(*args, **kwargs)
+        table = sweep.table.copy()
+        table[-1] *= 1.0 + 1e-6
+        return dataclasses.replace(sweep, table=table)
+
+    monkeypatch.setattr(magres.cli, "flux_sweep", perturbed)
+    code = main(
+        ["flux-sweep", "--structure", "circle", "--level", "3", "--model", "peierls",
+         "--grid", f"0:{TWO_PI}:5"]
+    )
+    assert code == EXIT_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "FAIL"
+    checks = doc["report"]["checks"]
+    assert checks["max_pair_deviation"] > checks["tol"] * checks["scale"]
 
 
 def test_flux_sweep_csv(capsys):

@@ -146,10 +146,11 @@ def test_assembly_exactly_hermitian():
 
 
 @pytest.mark.parametrize("name", ["interval", "circle", "gasket"])
-@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("block", [7, DENSE_BLOCK])
 def test_symmetrized_bitwise_equal_to_outer_product_scaling(monkeypatch, name, level, block):
-    # the blockwise in-place scaling keeps the product a_ij * (s_i s_j) of the full outer product
+    # the CSR operator that both eigensolvers start from, and its Fortran-order densification,
+    # keep the product a_ij * (s_i s_j) of the full outer product at any block size
     monkeypatch.setattr(magres.magnetic, "DENSE_BLOCK", block)
     ref = refine(bundled_structure(name), level)
     mu = vertex_measure(ref)
@@ -158,7 +159,11 @@ def test_symmetrized_bitwise_equal_to_outer_product_scaling(monkeypatch, name, l
         neumann = assemble(ref.net, MagneticModel(kind=kind, field=field), mu)
         for asm in (neumann, neumann.restrict(ref.boundary)):
             s = 1.0 / np.sqrt(asm.mass)
-            assert np.array_equal(asm.symmetrized, asm.matrix.toarray() * np.outer(s, s))
+            oracle = asm.matrix.toarray() * np.outer(s, s)
+            assert asm.scaled.format == "csr"
+            assert np.array_equal(asm.scaled.toarray(), oracle)
+            assert asm.symmetrized.flags.f_contiguous
+            assert np.array_equal(asm.symmetrized, oracle)
 
 
 def test_assembly_matches_energy_on_indicators():
